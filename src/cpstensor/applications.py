@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NotSymmetric, RangeError, SizeMismatch, Uncertified
 from . import rank_one as r1
+from . import reshaping as rs
 from . import tensor as tz
 from .rank_one import SolveReport, SolverOptions
 from .tensor import DenseTensor
@@ -57,8 +58,7 @@ def cps_from_sesqui_forms(forms, n: int) -> DenseTensor:
             raise SizeMismatch(f"form matrix must be {n}x{n}")
         # |conj(s)^T B s|^2 = sum_{ijkl} B_ij conj(B_kl) conj(s_i) conj(s_l) s_j s_k
         raw += form.weight * np.einsum("ij,kl->iljk", b, np.conj(b))
-    t = tz.symmetrize_ps(DenseTensor(n, 4, raw))
-    return tz.hermitian_part(t)
+    return DenseTensor(n, 4, rs.cps_part(raw, 2))
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def random_cps(n: int, seed: int, d: int = 2) -> DenseTensor:
     rng = np.random.default_rng(seed)
     shape = (n,) * (2 * d)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return tz.hermitian_part(tz.symmetrize_ps(DenseTensor(n, 2 * d, w)))
+    return DenseTensor(n, 2 * d, rs.cps_part(w, d))
 
 
 def random_symmetric(n: int, d: int, seed: int) -> DenseTensor:
@@ -245,8 +245,7 @@ def perturb_and_retry(
             zp = z
         else:
             e = random_symmetric(z.n, z.order, seed + k)
-            e_scaled = DenseTensor(z.n, z.order, e.entries * (eps / e.norm()))
-            zp = DenseTensor(z.n, z.order, z.entries + e_scaled.entries)
+            zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
         report = r1.solve_sdp(r1.build_matrix_model(us_lift(zp)), opts)
         log.append((seed + k, report.certified, report.objective))
         if report.certified:

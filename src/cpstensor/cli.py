@@ -12,10 +12,13 @@ Exit codes: 0 success/certified, 2 uncertified, 3 input-structure error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +47,8 @@ EXIT_UNCERTIFIED = 2
 EXIT_STRUCTURE = 3
 EXIT_SOLVER = 4
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _emit(text: str, output: str | None) -> None:
     if output:
@@ -53,13 +58,19 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solver_options(args) -> r1.SolverOptions:
+def _solver_options(tol=None, max_iter=None) -> r1.SolverOptions:
     opts = r1.SolverOptions()
-    if getattr(args, "tol", None):
-        opts.tol = args.tol
-    if getattr(args, "max_iter", None):
-        opts.max_iter = args.max_iter
+    if tol:
+        opts.tol = tol
+    if max_iter:
+        opts.max_iter = max_iter
     return opts
+
+
+def _solve(model: r1.MatrixModel, method: str, rho, opts) -> r1.SolveReport:
+    if method == "sdp":
+        return r1.solve_sdp(model, opts)
+    return r1.solve_nuclear(model, rho=rho, opts=opts)
 
 
 def cmd_validate(args) -> int:
@@ -119,18 +130,15 @@ def cmd_rank1(args) -> int:
     t = tz.load_tensor(args.tensor)
     pi = rs.parse_permutation(args.pi) if args.pi else None
     model = r1.build_matrix_model(t, pi)
-    opts = _solver_options(args)
-    if args.model == "sdp":
-        report = r1.solve_sdp(model, opts)
-    else:
-        report = r1.solve_nuclear(model, rho=args.rho, opts=opts)
+    opts = _solver_options(args.tol, args.max_iter)
+    report = _solve(model, args.model, args.rho, opts)
     _emit(json.dumps(report.to_dict()) + "\n", args.output)
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_useig(args) -> int:
     z = tz.load_tensor(args.tensor)
-    opts = _solver_options(args)
+    opts = _solver_options(args.tol, args.max_iter)
     try:
         result = ap.us_eigen(
             z, opts, retries=args.retries, eps=args.eps, seed=args.seed
@@ -153,44 +161,27 @@ def cmd_useig(args) -> int:
 def _solve_instance(task) -> dict:
     """One experiment instance; module-level so process pools can pickle it."""
     kind, size, method, seed, rho, tol, max_iter, scenario_cfg = task
-    opts = r1.SolverOptions()
-    if tol:
-        opts.tol = tol
-    if max_iter:
-        opts.max_iter = max_iter
+    opts = _solver_options(tol, max_iter)
     t0 = time.perf_counter()
     lam = math.nan
     try:
-        if kind == "random":
-            t = ap.random_cps(size, seed)
-            model = r1.build_matrix_model(t)
-            report = (
-                r1.solve_sdp(model, opts)
-                if method == "sdp"
-                else r1.solve_nuclear(model, rho=rho, opts=opts)
-            )
-            if report.eigenpair is not None:
-                lam = report.eigenpair.value.real
-        elif kind == "radar":
-            if scenario_cfg is None:
-                scenario = ap.default_scenario(size, s0_seed=seed)
-            else:
-                scenario = ap.scenario_from_config(scenario_cfg, s0_seed=seed)
-            t = ap.radar_tensor(scenario)
-            neg = tz.DenseTensor(t.n, t.order, -t.entries)
-            model = r1.build_matrix_model(neg)
-            report = (
-                r1.solve_sdp(model, opts)
-                if method == "sdp"
-                else r1.solve_nuclear(model, rho=rho, opts=opts)
-            )
-            if report.eigenpair is not None:
-                lam = -report.eigenpair.value.real  # minimum of the radar form
-        else:  # useig benchmarks
+        if kind == "useig":
             z = ap.useig_benchmark("a" if size == 1 else "b")
             result = ap.us_eigen(z, opts, retries=5, eps=1e-4, seed=seed)
-            report = result.report
-            lam = result.value
+            report, lam = result.report, result.value
+        else:
+            if kind == "random":
+                t, sign = ap.random_cps(size, seed), 1.0
+            else:  # radar: the form's minimum is the largest eigenvalue of -T
+                if scenario_cfg is None:
+                    scenario = ap.default_scenario(size, s0_seed=seed)
+                else:
+                    scenario = ap.scenario_from_config(scenario_cfg, s0_seed=seed)
+                radar = ap.radar_tensor(scenario)
+                t, sign = tz.DenseTensor(radar.n, radar.order, -radar.entries), -1.0
+            report = _solve(r1.build_matrix_model(t), method, rho, opts)
+            if report.eigenpair is not None:
+                lam = sign * report.eigenpair.value.real
         certified = int(report.certified)
         objective = report.objective
         eig_res = report.eigen_res
@@ -214,6 +205,21 @@ def _solve_instance(task) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _one_blas_thread_for_children():
+    """Pin BLAS (OpenBLAS, OpenMP or MKL) to one thread in the processes
+    spawned inside the block, so parallel instances do not oversubscribe the
+    cores.  This process loaded its BLAS already and keeps its threads."""
+    saved = {key: os.environ[key] for key in BLAS_THREAD_VARS if key in os.environ}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for key in BLAS_THREAD_VARS:
+            del os.environ[key]
+        os.environ.update(saved)
+
+
 def cmd_experiment(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
     methods = ["sdp", "nuclear"] if args.model == "both" else [args.model]
@@ -221,36 +227,25 @@ def cmd_experiment(args) -> int:
     if getattr(args, "scenario", None):
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scenario_cfg = json.load(fh)
-    tasks = []
-    if args.name == "random":
-        sizes = sizes or [4, 6, 8]
-        for size in sizes:
-            for method in methods:
-                for k in range(args.instances):
-                    tasks.append(
-                        ("random", size, method, args.seed + k,
-                         args.rho, args.tol, args.max_iter, None)
-                    )
-    elif args.name == "radar":
-        if scenario_cfg is not None:
-            sizes = [int(scenario_cfg["n"])]  # the file fixes the code length
-        else:
-            sizes = sizes or [5]
-        for size in sizes:
-            for method in methods:
-                for k in range(args.instances):
-                    tasks.append(
-                        ("radar", size, method, args.seed + k,
-                         args.rho, args.tol, args.max_iter, scenario_cfg)
-                    )
-    else:  # useig
-        tasks = [
-            ("useig", 1, "sdp", args.seed, args.rho, args.tol, args.max_iter, None),
-            ("useig", 2, "sdp", args.seed, args.rho, args.tol, args.max_iter, None),
-        ]
+    instances = args.instances
+    if args.name == "useig":  # the two bundled benchmarks, one instance each
+        sizes, methods, instances = [1, 2], ["sdp"], 1
+    elif args.name == "radar" and scenario_cfg is not None:
+        sizes = [int(scenario_cfg["n"])]  # the file fixes the code length
+    sizes = sizes or ([4, 6, 8] if args.name == "random" else [5])
+    tasks = [
+        (args.name, size, method, args.seed + k,
+         args.rho, args.tol, args.max_iter, scenario_cfg)
+        for size in sizes
+        for method in methods
+        for k in range(instances)
+    ]
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_for_children(), ProcessPoolExecutor(
+            max_workers=args.jobs, mp_context=spawn
+        ) as pool:
             rows = list(pool.map(_solve_instance, tasks))
     else:
         rows = [_solve_instance(task) for task in tasks]

@@ -30,11 +30,14 @@ class HermEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
 
-
-def hermitian_residual(x: np.ndarray) -> float:
-    """Frobenius norm of the skew part X - X^H."""
-    x = np.asarray(x, dtype=complex)
-    return float(np.linalg.norm(x - x.conj().T))
+    def modulus_ratio(self) -> float:
+        """|lambda_2| / |lambda_1| by modulus; zero means numerically rank one."""
+        mods = np.sort(np.abs(self.eigenvalues))[::-1]
+        if mods[0] <= 0.0:
+            raise ZeroMatrix("matrix is numerically zero")
+        if len(mods) == 1:
+            return 0.0
+        return float(mods[1] / mods[0])
 
 
 def require_hermitian(x: np.ndarray, tol: float = TOL_STRUCT) -> np.ndarray:
@@ -42,7 +45,7 @@ def require_hermitian(x: np.ndarray, tol: float = TOL_STRUCT) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {x.shape}")
-    res = hermitian_residual(x)
+    res = float(np.linalg.norm(x - x.conj().T))  # norm of the skew part
     if res > max(tol * np.linalg.norm(x), ABS_FLOOR):
         raise NonHermitianInput(f"symmetry residual {res:.3e} exceeds tolerance")
     return 0.5 * (x + x.conj().T)
@@ -59,12 +62,23 @@ def herm_eig(x: np.ndarray, tol: float = TOL_STRUCT) -> HermEigen:
     return HermEigen(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
+def _spectral_prox(x: np.ndarray, tau: float | None = None) -> np.ndarray:
+    """Prox on the eigenvalues w of the Hermitian part of x, unchecked: the
+    PSD projection max(w, 0) without tau, else the soft threshold by tau."""
+    try:
+        w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    if tau is None:
+        w = np.maximum(w, 0.0)
+    else:
+        w = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    return (v * w) @ v.conj().T
+
+
 def project_psd(x: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
-    eig = herm_eig(x)
-    w = np.maximum(eig.eigenvalues, 0.0)
-    v = eig.eigenvectors
-    return (v * w) @ v.conj().T
+    return _spectral_prox(require_hermitian(x))
 
 
 def eig_soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
@@ -75,10 +89,7 @@ def eig_soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    eig = herm_eig(x)
-    w = np.sign(eig.eigenvalues) * np.maximum(np.abs(eig.eigenvalues) - tau, 0.0)
-    v = eig.eigenvectors
-    return (v * w) @ v.conj().T
+    return _spectral_prox(require_hermitian(x), tau)
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,14 +111,5 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def top_singular_ratio(x: np.ndarray) -> float:
-    """|lambda_2| / |lambda_1| over the Hermitian spectrum sorted by modulus.
-
-    Zero signals a numerically rank-one matrix.
-    """
-    eig = herm_eig(x)
-    mods = np.sort(np.abs(eig.eigenvalues))[::-1]
-    if mods[0] <= 0.0:
-        raise ZeroMatrix("matrix is numerically zero")
-    if len(mods) == 1:
-        return 0.0
-    return float(mods[1] / mods[0])
+    """|lambda_2| / |lambda_1| of a Hermitian matrix; zero means rank one."""
+    return herm_eig(x).modulus_ratio()

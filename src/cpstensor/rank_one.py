@@ -16,7 +16,7 @@ eigenvalues; certified iterates yield an eigenpair of the original tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from . import reshaping as rs
 from . import tensor as tz
-from .linalg import eig_soft_threshold, project_psd, top_singular_ratio
+from .linalg import _spectral_prox, top_singular_ratio
 from .tensor import DenseTensor, EigenPair
 
 SOLVER_TOL = 1e-7
@@ -55,15 +55,13 @@ class SolverOptions:
 
 @dataclass
 class MatrixModel:
-    """Data of the lifted problem: C = conj(M_pi(T)) plus projector context."""
+    """Data of the lifted problem: C = conj(M_pi(T)) for a validated pi."""
 
     tensor: DenseTensor
     pi: tuple[int, ...]
     n: int
     d: int
     C: np.ndarray
-    _proj_identity: np.ndarray = field(default=None, repr=False)
-    _proj_identity_trace: float = field(default=0.0, repr=False)
 
     @property
     def size(self) -> int:
@@ -121,47 +119,43 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
         raise BadPermutation(f"{pi} violates the conjugate (Hermitian) condition")
     if not rs.satisfies_rank_condition(pi, d):
         raise BadPermutation(f"{pi} violates the rank-one equivalence condition")
-    c = np.conj(rs.matricize_pi(t, pi))
-    model = MatrixModel(tensor=t, pi=pi, n=t.n, d=d, C=c)
-    pid = project_cps_subspace(np.eye(model.size, dtype=complex), model)
-    model._proj_identity = pid
-    model._proj_identity_trace = float(np.trace(pid).real)
-    return model
+    return MatrixModel(tensor=t, pi=pi, n=t.n, d=d, C=np.conj(rs.matricize_pi(t, pi)))
 
 
 def project_cps_subspace(x: np.ndarray, model: MatrixModel) -> np.ndarray:
-    """Orthogonal projection onto M_pi(CPS), computed in tensor coordinates."""
+    """Orthogonal projection onto M_pi(CPS): an orbit average and gather."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (model.size, model.size):
         raise SizeMismatch(f"expected shape {(model.size, model.size)}")
-    w = rs.dematricize_pi(x, model.pi, model.n, model.d)
-    sym = tz.symmetrize_ps(w)
-    herm = 0.5 * (sym.entries + tz._block_swap_conj(sym.entries, model.d))
-    return rs.matricize_pi(DenseTensor(model.n, 2 * model.d, herm), model.pi)
+    return rs.cps_projector(model.n, model.d, model.pi)(x)
 
 
-def _project_affine(x: np.ndarray, model: MatrixModel) -> np.ndarray:
-    """Exact projection onto the affine set {X in M_pi(CPS): tr X = 1}."""
-    w = project_cps_subspace(x, model)
-    shift = (1.0 - np.trace(w).real) / model._proj_identity_trace
-    return w + shift * model._proj_identity
-
-
-def _admm(model: MatrixModel, prox, opts: SolverOptions) -> tuple[np.ndarray, ...]:
+def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
-    iterate, X = Y at the optimum."""
+    iterate, X = Y at the optimum.  The loop runs on plain arrays; their
+    structure was checked when the model was built."""
     c = model.C
+    project = rs.cps_projector(model.n, model.d, model.pi)
+    proj_identity = project(np.eye(model.size, dtype=complex))
+    proj_identity_trace = float(np.trace(proj_identity).real)
+
+    def project_affine(w: np.ndarray) -> np.ndarray:
+        """Exact projection onto the affine set {X in M_pi(CPS): tr X = 1}."""
+        w = project(w)
+        shift = (1.0 - np.trace(w).real) / proj_identity_trace
+        return w + shift * proj_identity
+
     beta = opts.beta
     if beta is None:
         beta = max(float(np.linalg.norm(c, 2)), 1e-12)
     alpha = opts.over_relax
-    x = _project_affine(np.zeros_like(c), model)
+    x = project_affine(np.zeros_like(c))
     y = x.copy()
     u = np.zeros_like(c)
     primal = dual = math.inf
     it = 0
     for it in range(1, opts.max_iter + 1):
-        x = _project_affine(y + (c - u) / beta, model)
+        x = project_affine(y + (c - u) / beta)
         x_relaxed = alpha * x + (1.0 - alpha) * y
         y_new = prox(x_relaxed + u / beta, beta)
         dual = beta * float(np.linalg.norm(y_new - y))
@@ -175,27 +169,17 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> tuple[np.ndarray, ..
                 beta *= 2.0
             elif dual > opts.adapt_ratio * primal:
                 beta /= 2.0
-    converged = max(primal, dual) <= opts.tol
-    return x, primal, dual, it, converged
+    lin = float(np.vdot(c, x).real)
+    return SolveReport(
+        X=x, objective=lin, linear_objective=lin, primal_residual=primal,
+        dual_residual=dual, iterations=it, converged=max(primal, dual) <= opts.tol,
+    )
 
 
 def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveReport:
     """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
     opts = opts or SolverOptions()
-    x, primal, dual, it, ok = _admm(
-        model, lambda w, beta: project_psd(w), opts
-    )
-    lin = float(np.vdot(model.C, x).real)
-    report = SolveReport(
-        X=x,
-        objective=lin,
-        linear_objective=lin,
-        primal_residual=primal,
-        dual_residual=dual,
-        iterations=it,
-        converged=ok,
-        model="sdp",
-    )
+    report = _admm(model, lambda w, beta: _spectral_prox(w), opts)
     return certify_and_recover(report, model, opts)
 
 
@@ -216,22 +200,11 @@ def solve_nuclear(
         rho = float(np.linalg.norm(model.C, 2))
     if rho <= 0:
         raise ValueError("rho must be positive")
-    x, primal, dual, it, ok = _admm(
-        model, lambda w, beta: eig_soft_threshold(w, rho / beta), opts
-    )
-    lin = float(np.vdot(model.C, x).real)
+    report = _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), opts)
+    x = report.X
     nuc = float(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T))).sum())
-    report = SolveReport(
-        X=x,
-        objective=lin - rho * nuc,
-        linear_objective=lin,
-        primal_residual=primal,
-        dual_residual=dual,
-        iterations=it,
-        converged=ok,
-        model="nuclear",
-        rho=rho,
-    )
+    report.objective = report.linear_objective - rho * nuc
+    report.model, report.rho = "nuclear", rho
     return certify_and_recover(report, model, opts)
 
 

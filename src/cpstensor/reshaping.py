@@ -7,6 +7,8 @@ matricizations certify rank-one tensors (rank condition).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -17,6 +19,7 @@ from .errors import (
     SizeMismatch,
 )
 from . import tensor as tz
+from .linalg import herm_eig
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
@@ -125,11 +128,45 @@ def canonical_pi(d: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
+@functools.lru_cache(maxsize=32)
+def cps_projector(n: int, d: int, pi: tuple[int, ...]):
+    """Orthogonal projection onto M_pi(CPS), built once per (n, d, pi).
+
+    Matrix entries share an orbit when the tensor entries they hold differ by
+    permutations within each mode half.  Averaging over each orbit is the PS
+    symmetrization; pairing it with its half-swap partner is the Hermitian
+    part, exact by construction.  pi must satisfy the conjugate condition;
+    the identity gives tensor coordinates, where the input may also be the
+    order-2d tensor itself, since it lays out its entries in the same order.
+    """
+    big = n**d
+    # row m: the digit that mode m+1 of T takes at each flat matrix position
+    digits = np.indices((n,) * (2 * d), dtype=np.min_scalar_type(n))
+    modes = digits.reshape(2 * d, -1)[np.argsort(pi)]
+    place = n ** np.arange(d - 1, -1, -1)
+    key = (place @ np.sort(modes[:d], axis=0)) * big + place @ np.sort(modes[d:], axis=0)
+    labels, orbit = np.unique(key, return_inverse=True)
+    swap = np.searchsorted(labels, (labels % big) * big + labels // big)
+    size = np.bincount(orbit)
+
+    def project(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1)
+        re = np.bincount(orbit, weights=flat.real) / size
+        im = np.bincount(orbit, weights=flat.imag) / size
+        return (0.5 * (re + re[swap]) + 0.5j * (im - im[swap]))[orbit].reshape(x.shape)
+
+    return project
+
+
+def cps_part(w: np.ndarray, d: int) -> np.ndarray:
+    """Entries of the projection of an order-2d tensor onto the CPS subspace:
+    the PS symmetrization followed by the Hermitian part."""
+    return cps_projector(w.shape[0], d, tuple(range(1, 2 * d + 1)))(w)
+
+
 def cps_projection_residual(t: DenseTensor) -> float:
     """Distance from t to the CPS subspace, relative to ||t||."""
-    sym = tz.symmetrize_ps(t)
-    herm = 0.5 * (sym.entries + tz._block_swap_conj(sym.entries, t.half))
-    res = float(np.linalg.norm(t.entries - herm))
+    res = float(np.linalg.norm(t.entries - cps_part(t.entries, t.half)))
     return res / max(t.norm(), 1e-300)
 
 
@@ -153,18 +190,16 @@ def extract_rank_one_vector(
     fixed by making the largest-modulus entry of x real positive (lowest
     index wins ties).
     """
-    from .linalg import herm_eig, top_singular_ratio
-
     x = np.asarray(x, dtype=complex)
     pi = validate_permutation(pi, 2 * d)
-    ratio = top_singular_ratio(x)
+    eig = herm_eig(x)
+    ratio = eig.modulus_ratio()
     if ratio > rank1_tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
     w = dematricize_pi(x, pi, n, d)
     if cps_projection_residual(w) > max(extract_tol, 1e-8):
         raise NotInSubspace("matrix does not lie in the matricized CPS subspace")
 
-    eig = herm_eig(x)
     top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
     u = eig.eigenvectors[:, top_idx]
     factor = u.reshape(n, -1)  # mode-1 unfolding of the order-d pattern tensor

@@ -256,14 +256,10 @@ def assemble(terms, n: int, d: int) -> DenseTensor:
     return DenseTensor(n, 2 * d, acc.reshape((n,) * (2 * d)))
 
 
-def _half_permutations(d: int):
-    return list(itertools.permutations(range(d)))
-
-
 def symmetrize_ps(t: DenseTensor) -> DenseTensor:
     """Average over all permutations of the first d and of the last d modes."""
     d = t.half
-    perms = _half_permutations(d)
+    perms = list(itertools.permutations(range(d)))
     acc = np.zeros_like(t.entries)
     for p in perms:
         for q in perms:

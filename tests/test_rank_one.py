@@ -68,6 +68,31 @@ class TestProjectSubspace:
         assert abs(np.vdot(p, x - p).real) <= 1e-12
 
 
+class TestFlatLoop:
+    def test_no_tensor_constructions_per_iteration(self, monkeypatch):
+        # only the model build may construct tensors; the ADMM loop runs on
+        # plain arrays, so the count does not grow with the iteration count
+        model = r1.build_matrix_model(random_cps_tensor(3, 21))
+        monkeypatch.setattr(r1, "certify_and_recover", lambda report, model, opts: report)
+        count = [0]
+        post_init = tz.DenseTensor.__post_init__
+
+        def counted(obj):
+            count[0] += 1
+            post_init(obj)
+
+        monkeypatch.setattr(tz.DenseTensor, "__post_init__", counted)
+        seen = {}
+        for solve in (r1.solve_sdp, r1.solve_nuclear):
+            for max_iter in (50, 500):
+                count[0] = 0
+                report = solve(model, opts=r1.SolverOptions(tol=0.0, max_iter=max_iter))
+                assert report.iterations == max_iter
+                seen[solve.__name__, max_iter] = count[0]
+        assert seen["solve_sdp", 50] == seen["solve_sdp", 500]
+        assert seen["solve_nuclear", 50] == seen["solve_nuclear", 500]
+
+
 class TestSolveSdp:
     def test_gap_tensor_objective(self, gap_tensor):
         report = r1.solve_sdp(r1.build_matrix_model(gap_tensor), FAST)

@@ -154,7 +154,56 @@ class TestHermitianAndRankOneProperties:
         assert top_singular_ratio(m_can) > 0.1
 
 
+def _valid_pis(d):
+    for pi in itertools.permutations(range(1, 2 * d + 1)):
+        if rs.satisfies_conj_condition(pi, d) and rs.satisfies_rank_condition(pi, d):
+            yield pi
+
+
+def _random_matrix(size, rng):
+    return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+
+class TestCpsProjector:
+    @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3)])
+    def test_matches_symmetrize_then_hermitian_part(self, n, d):
+        rng = np.random.default_rng(40 + d)
+        pis = list(_valid_pis(d))
+        assert pis
+        for pi in pis:
+            x = _random_matrix(n**d, rng)
+            ref = rs.matricize_pi(
+                tz.hermitian_part(tz.symmetrize_ps(rs.dematricize_pi(x, pi, n, d))), pi
+            )
+            assert np.max(np.abs(rs.cps_projector(n, d, pi)(x) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3)])
+    def test_tensor_coordinates(self, n, d):
+        rng = np.random.default_rng(50 + d)
+        w = rng.standard_normal((n,) * (2 * d)) + 1j * rng.standard_normal((n,) * (2 * d))
+        ref = tz.hermitian_part(tz.symmetrize_ps(tz.DenseTensor(n, 2 * d, w))).entries
+        assert np.max(np.abs(rs.cps_part(w, d) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (4, 2), (2, 3)])
+    def test_exactly_hermitian_and_idempotent(self, n, d):
+        rng = np.random.default_rng(60 + d)
+        for pi in _valid_pis(d):
+            project = rs.cps_projector(n, d, pi)
+            p = project(_random_matrix(n**d, rng))
+            assert np.array_equal(p, p.conj().T)
+            assert np.max(np.abs(project(p) - p)) <= 1e-14 * np.linalg.norm(p)
+
+
 class TestExtraction:
+    def test_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        herm_eig = rs.herm_eig
+        monkeypatch.setattr(rs, "herm_eig", lambda x: calls.append(1) or herm_eig(x))
+        rng = np.random.default_rng(16)
+        x = rs.matricize_pi(tz.rank_one_cps(1.0, random_unit(3, rng), 2), rs.canonical_pi(2))
+        rs.extract_rank_one_vector(x, rs.canonical_pi(2), 3, 2)
+        assert len(calls) == 1
+
     def test_exact_round_trip(self):
         rng = np.random.default_rng(10)
         a = random_unit(3, rng)
