@@ -5,7 +5,12 @@ decompositions, pi-matricizations with rank-one equivalence, ADMM solvers
 for the SDP and nuclear-norm relaxations of the best rank-one approximation
 problem, and experiment drivers (radar quartic design, random CPS tensors,
 largest US-eigenvalues).
+
+The package logs to the ``cpstensor`` logger, silent unless the application
+configures logging.
 """
+
+import logging
 
 from .errors import CpsTensorError
 from .tensor import (
@@ -78,5 +83,7 @@ from .applications import (
     us_lift,
     useig_benchmark,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

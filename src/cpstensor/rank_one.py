@@ -32,7 +32,7 @@ from .errors import (
 )
 from . import reshaping as rs
 from . import tensor as tz
-from .linalg import _spectral_prox, top_singular_ratio
+from .linalg import _spectral_prox, herm_eig
 from .tensor import DenseTensor, EigenPair
 
 SOLVER_TOL = 1e-7
@@ -214,16 +214,17 @@ def certify_and_recover(
     """Attach the rank-one certificate and, when it holds, the eigenpair."""
     opts = opts or SolverOptions()
     t = model.tensor
+    eig = herm_eig(report.X)  # shared by the certificate and the extraction
     try:
-        report.rank_one_ratio = top_singular_ratio(report.X)
+        report.rank_one_ratio = eig.modulus_ratio()
     except ZeroMatrix:
         report.rank_one_ratio = math.inf
         return report
     if report.rank_one_ratio > opts.rank1_tol:
         return report
     try:
-        vec, _ = rs.extract_rank_one_vector(
-            report.X, model.pi, model.n, model.d, rank1_tol=opts.rank1_tol
+        vec, _ = rs._extract_from_eig(
+            report.X, eig, model.pi, model.n, model.d, opts.rank1_tol, rs.EXTRACT_TOL
         )
     except (NotRankOne, NotInSubspace):
         return report

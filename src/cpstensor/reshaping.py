@@ -19,7 +19,7 @@ from .errors import (
     SizeMismatch,
 )
 from . import tensor as tz
-from .linalg import herm_eig
+from .linalg import HermEigen, herm_eig
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
@@ -192,7 +192,20 @@ def extract_rank_one_vector(
     """
     x = np.asarray(x, dtype=complex)
     pi = validate_permutation(pi, 2 * d)
-    eig = herm_eig(x)
+    return _extract_from_eig(x, herm_eig(x), pi, n, d, rank1_tol, extract_tol)
+
+
+def _extract_from_eig(
+    x: np.ndarray,
+    eig: HermEigen,
+    pi: tuple[int, ...],
+    n: int,
+    d: int,
+    rank1_tol: float,
+    extract_tol: float,
+) -> tuple[np.ndarray, float]:
+    """extract_rank_one_vector given herm_eig(x) and a validated pi, for
+    callers that already hold the eigendecomposition."""
     ratio = eig.modulus_ratio()
     if ratio > rank1_tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")

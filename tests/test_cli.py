@@ -67,6 +67,15 @@ class TestDecompose:
         assert payload["residual"] <= 1e-8
         assert payload["term_count"] >= 3
 
+    def test_order_six(self, tmp_path, capsys):
+        t = random_cps_tensor(2, 3, d=3)
+        path = tmp_path / "order6.json"
+        tz.save_tensor(t, path)
+        assert main(["decompose", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["residual"] <= 1e-8 * t.norm()
+        assert payload["term_count"] <= 16
+
     def test_rejects_ps_only(self, tmp_path):
         t = random_ps_tensor(2, 2)
         path = tmp_path / "ps.json"

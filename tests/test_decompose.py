@@ -1,3 +1,6 @@
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,78 @@ class TestCpsDecompose:
     def test_requires_cps(self):
         with pytest.raises(NotCps):
             dc.cps_decompose(random_ps_tensor(2, 24))
+
+
+class TestFixedDesign:
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_term_bound(self, n, d):
+        t = random_cps_tensor(n, 40 + n, d=d)
+        terms = dc.cps_decompose(t)
+        assert len(terms) <= math.comb(n + d - 1, d) ** 2
+        recon = tz.assemble(terms, n, d)
+        assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
+
+    def test_unit_vectors(self):
+        for term in dc.cps_decompose(random_cps_tensor(3, 45)):
+            assert np.linalg.norm(term.vector) == pytest.approx(1.0, abs=1e-12)
+
+    def test_repeat_calls_identical(self):
+        t = random_cps_tensor(3, 46)
+        first = dc.cps_decompose(t)
+        dc._cps_design.cache_clear()  # a rebuilt design is the same design
+        second = dc.cps_decompose(t)
+        assert [x.coeff for x in first] == [y.coeff for y in second]
+        assert all(np.array_equal(x.vector, y.vector) for x, y in zip(first, second))
+
+    def test_condition_numbers(self):
+        for d in (1, 2, 3):
+            for n in range(1, 6):
+                if math.comb(n + d - 1, d) ** 2 <= dc.MAX_DESIGN_TERMS:
+                    assert dc._cps_design(n, d).cond <= 1e4, (n, d)
+
+    def test_budget_before_design(self):
+        t = random_cps_tensor(9, 47)  # N = 45, N^2 = 2025
+        misses = dc._cps_design.cache_info().misses
+        with pytest.raises(TermBudgetExceeded, match="2025"):
+            dc.cps_decompose(t)
+        assert dc._cps_design.cache_info().misses == misses
+
+    def test_rank_one_single_term(self):
+        rng = np.random.default_rng(48)
+        a = random_unit(3, rng)
+        terms = dc.cps_decompose(tz.rank_one_cps(-2.0, a, 3))
+        assert len(terms) == 1
+        assert terms[0].coeff == pytest.approx(-2.0, abs=1e-10)
+        assert abs(abs(np.vdot(terms[0].vector, a)) - 1.0) <= 1e-10
+
+    def test_design_logged_once(self, caplog):
+        t = random_cps_tensor(2, 49)
+        dc._cps_design.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="cpstensor"):
+            dc.cps_decompose(t)
+            dc.cps_decompose(t)
+        messages = [r.getMessage() for r in caplog.records if r.name == "cpstensor.decompose"]
+        assert len(messages) == 1
+        assert "n=2 d=2 terms=9" in messages[0]
+
+    def test_logger_silent_by_default(self):
+        handlers = logging.getLogger("cpstensor").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+class TestOrderSix:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cps_round_trip(self, n):
+        t = random_cps_tensor(n, 50 + n, d=3)
+        terms = dc.cps_decompose(t)
+        recon = tz.assemble(terms, n, 3)
+        assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
+
+    def test_ps_round_trip(self):
+        t = random_ps_tensor(2, 53, d=3)
+        terms = dc.ps_decompose(t)
+        recon = tz.assemble(terms, 2, 3)
+        assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
 
 
 class TestPsDecompose:

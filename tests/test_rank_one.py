@@ -171,6 +171,24 @@ class TestCertifyAndRecover:
         assert report.certified
         assert report.eigenpair.value.real == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the certificate and the extraction share one herm_eig of X
+        calls = []
+        herm_eig = r1.herm_eig
+        counted = lambda x: calls.append(1) or herm_eig(x)  # noqa: E731
+        monkeypatch.setattr(r1, "herm_eig", counted)
+        monkeypatch.setattr(rs, "herm_eig", counted)
+        rng = np.random.default_rng(13)
+        a = random_unit(3, rng)
+        model = r1.build_matrix_model(tz.rank_one_cps(1.0, np.conj(a), 2))
+        x = rs.matricize_pi(tz.rank_one_cps(1.0, a, 2), model.pi)
+        report = r1.SolveReport(
+            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
+            dual_residual=0.0, iterations=0, converged=True,
+        )
+        assert r1.certify_and_recover(report, model).certified
+        assert len(calls) == 1
+
     def test_identity_not_certified(self, gap_tensor):
         model = r1.build_matrix_model(gap_tensor)
         x = np.eye(4, dtype=complex) / 4.0
