@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,25 +36,18 @@ def steering(n: int, v: float) -> np.ndarray:
     return np.exp(2j * np.pi * v * np.arange(n))
 
 
-@dataclass(frozen=True)
-class SesquiForm:
+class SesquiForm(NamedTuple):
     """Weighted squared-modulus term w * |conj(s)^T B s|^2."""
 
     weight: float
     matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(
-            self, "matrix", np.ascontiguousarray(self.matrix, dtype=complex)
-        )
 
 
 def cps_from_sesqui_forms(forms, n: int) -> DenseTensor:
     """Order-4 CPS tensor T with T(conj(s)^2 s^2) = sum_t w_t |conj(s)^T B_t s|^2."""
     raw = np.zeros((n, n, n, n), dtype=complex)
     for form in forms:
-        b = form.matrix
+        b = np.asarray(form.matrix, dtype=complex)
         if b.shape != (n, n):
             raise SizeMismatch(f"form matrix must be {n}x{n}")
         # |conj(s)^T B s|^2 = sum_{ijkl} B_ij conj(B_kl) conj(s_i) conj(s_l) s_j s_k
@@ -206,14 +200,7 @@ def us_eigen(
     objective.  Uncertified solves fall back to perturb-and-retry when
     retries > 0.
     """
-    report = r1.solve_sdp(r1.build_matrix_model(us_lift(z)), opts)
-    attempts = [(None, report.certified, report.objective)]
-    if not report.certified and retries > 0:
-        return perturb_and_retry(z, eps, retries, opts, seed=seed, prior_log=attempts)
-    if not report.certified:
-        raise Uncertified("solver did not certify a rank-one solution")
-    lam, vec = _us_pair_from_report(z, report)
-    return UsEigenResult(lam, vec, report, attempts)
+    return _first_certified(z, [None, *range(seed, seed + retries)], eps, opts)
 
 
 def _us_pair_from_report(z: DenseTensor, report: SolveReport) -> tuple[float, np.ndarray]:
@@ -230,28 +217,36 @@ def perturb_and_retry(
     attempts: int,
     opts: SolverOptions | None = None,
     seed: int = 0,
-    prior_log: list | None = None,
 ) -> UsEigenResult:
     """Re-solve with tiny random symmetric perturbations until certified.
 
     Each attempt draws an independent symmetric complex E scaled to norm eps;
     distinct seeds may surface distinct eigenvectors of a degenerate maximum.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    log = list(prior_log) if prior_log else []
-    for k in range(attempts):
-        if eps == 0.0:
-            zp = z
-        else:
-            e = random_symmetric(z.n, z.order, seed + k)
-            zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
+    return _first_certified(z, range(seed, seed + attempts), eps, opts)
+
+
+def _first_certified(
+    z: DenseTensor, seeds, eps: float, opts: SolverOptions | None
+) -> UsEigenResult:
+    """Solve the lift of z perturbed by each seed's E in turn (seed None: z
+    itself) and return the first certified attempt, logging each one as
+    (seed, certified, objective)."""
+    log = []
+    for s in seeds:
+        zp = z
+        if s is not None:
+            if eps < 0:
+                raise ValueError("eps must be nonnegative")
+            if eps != 0.0:
+                e = random_symmetric(z.n, z.order, s)
+                zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
         report = r1.solve_sdp(r1.build_matrix_model(us_lift(zp)), opts)
-        log.append((seed + k, report.certified, report.objective))
+        log.append((s, report.certified, report.objective))
         if report.certified:
             lam, vec = _us_pair_from_report(zp, report)
             return UsEigenResult(lam, vec, report, log)
-    raise Uncertified(f"no rank-one solution after {attempts} perturbed attempts")
+    raise Uncertified(f"no certified rank-one solution in {len(log)} attempts")
 
 
 def scenario_to_config(scenario: RadarScenario, s0_seed: int = 0) -> dict:

@@ -60,11 +60,25 @@ def _emit(text: str, output: str | None) -> None:
 
 def _solver_options(tol=None, max_iter=None) -> r1.SolverOptions:
     opts = r1.SolverOptions()
-    if tol:
+    if tol is not None:
         opts.tol = tol
-    if max_iter:
+    if max_iter is not None:
         opts.max_iter = max_iter
     return opts
+
+
+def _check_numeric_flags(args) -> None:
+    """Reject solver flags outside their domain before any work starts."""
+    domains = (
+        ("--tol", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+        ("--max-iter", "at least 1", lambda v: v >= 1),
+        ("--rho", "a finite number > 0", lambda v: 0.0 < v < math.inf),
+        ("--eps", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+    )
+    for flag, domain, ok in domains:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not ok(value):
+            raise ParseError(f"{flag} must be {domain}, got {value}")
 
 
 def _solve(model: r1.MatrixModel, method: str, rho, opts) -> r1.SolveReport:
@@ -348,6 +362,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except (
         ParseError,

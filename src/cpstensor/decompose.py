@@ -49,7 +49,7 @@ from .errors import (
 )
 from . import tensor as tz
 from .linalg import herm_eig, solve_linear
-from .reshaping import extract_rank_one_vector, matricize
+from .reshaping import _canonical_phase, extract_rank_one_vector, matricize
 from .tensor import CpsTerm, DenseTensor, PsTerm
 
 log = logging.getLogger(__name__)
@@ -157,14 +157,11 @@ def merge_terms(terms, d: int, drop_below: float = 0.0) -> list[CpsTerm]:
     buckets: dict[bytes, tuple[np.ndarray, float]] = {}
     order: list[bytes] = []
     for term in terms:
-        a = term.vector
+        a = np.asarray(term.vector, dtype=complex)
         nrm = np.linalg.norm(a)
         if nrm == 0.0 or term.coeff == 0.0:
             continue
-        u = a / nrm
-        mods = np.abs(u)
-        top = int(np.argmax(mods >= mods.max() - 1e-12))  # lowest near-max index
-        u = u * np.conj(u[top] / abs(u[top]))
+        u = _canonical_phase(a / nrm)
         key = (np.round(u, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
         lam = term.coeff * nrm ** (2 * d)
         if key in buckets:

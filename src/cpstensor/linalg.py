@@ -14,8 +14,6 @@ import scipy.linalg
 
 from .errors import NoConvergence, NonHermitianInput, SingularMatrix, ZeroMatrix
 
-TOL_EIG = 1e-10
-TOL_LIN = 1e-10
 TOL_STRUCT = 1e-8
 TOL_PIVOT = 1e-12
 
@@ -40,20 +38,20 @@ class HermEigen:
         return float(mods[1] / mods[0])
 
 
-def require_hermitian(x: np.ndarray, tol: float = TOL_STRUCT) -> np.ndarray:
+def require_hermitian(x: np.ndarray) -> np.ndarray:
     """Return X symmetrized, or raise NonHermitianInput if it is not Hermitian."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {x.shape}")
     res = float(np.linalg.norm(x - x.conj().T))  # norm of the skew part
-    if res > max(tol * np.linalg.norm(x), ABS_FLOOR):
+    if res > max(TOL_STRUCT * np.linalg.norm(x), ABS_FLOOR):
         raise NonHermitianInput(f"symmetry residual {res:.3e} exceeds tolerance")
     return 0.5 * (x + x.conj().T)
 
 
-def herm_eig(x: np.ndarray, tol: float = TOL_STRUCT) -> HermEigen:
+def herm_eig(x: np.ndarray) -> HermEigen:
     """Full spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    xh = require_hermitian(x, tol)
+    xh = require_hermitian(x)
     try:
         w, v = np.linalg.eigh(xh)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

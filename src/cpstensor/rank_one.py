@@ -37,20 +37,21 @@ from .tensor import DenseTensor, EigenPair
 
 SOLVER_TOL = 1e-7
 MAX_ITER = 10000
-RANK1_TOL = 1e-6
-EIG_TOL = 1e-6
+OVER_RELAX = 1.7  # standard over-relaxation factor in (1, 2)
+ADAPT_EVERY = 10  # iterations between penalty rebalancing steps
+ADAPT_RATIO = 10.0  # residual imbalance that doubles or halves the penalty
+EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows
+UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
+ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
+ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
 
 
 @dataclass
 class SolverOptions:
+    """The whole solver configuration: stopping tolerance and iteration cap."""
+
     tol: float = SOLVER_TOL
     max_iter: int = MAX_ITER
-    beta: float | None = None  # initial ADMM penalty; defaults to ||C||_2
-    over_relax: float = 1.7  # standard over-relaxation factor in (1, 2)
-    adapt_every: int = 10
-    adapt_ratio: float = 10.0
-    rank1_tol: float = RANK1_TOL
-    eig_tol: float = EIG_TOL
 
 
 @dataclass
@@ -145,10 +146,7 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         shift = (1.0 - np.trace(w).real) / proj_identity_trace
         return w + shift * proj_identity
 
-    beta = opts.beta
-    if beta is None:
-        beta = max(float(np.linalg.norm(c, 2)), 1e-12)
-    alpha = opts.over_relax
+    beta = max(float(np.linalg.norm(c, 2)), 1e-12)
     x = project_affine(np.zeros_like(c))
     y = x.copy()
     u = np.zeros_like(c)
@@ -156,7 +154,7 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     it = 0
     for it in range(1, opts.max_iter + 1):
         x = project_affine(y + (c - u) / beta)
-        x_relaxed = alpha * x + (1.0 - alpha) * y
+        x_relaxed = OVER_RELAX * x + (1.0 - OVER_RELAX) * y
         y_new = prox(x_relaxed + u / beta, beta)
         dual = beta * float(np.linalg.norm(y_new - y))
         y = y_new
@@ -164,10 +162,10 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         primal = float(np.linalg.norm(x - y))
         if max(primal, dual) <= opts.tol:
             break
-        if it % opts.adapt_every == 0:
-            if primal > opts.adapt_ratio * dual:
+        if it % ADAPT_EVERY == 0:
+            if primal > ADAPT_RATIO * dual:
                 beta *= 2.0
-            elif dual > opts.adapt_ratio * primal:
+            elif dual > ADAPT_RATIO * primal:
                 beta /= 2.0
     lin = float(np.vdot(c, x).real)
     return SolveReport(
@@ -180,7 +178,7 @@ def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveRep
     """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
     opts = opts or SolverOptions()
     report = _admm(model, lambda w, beta: _spectral_prox(w), opts)
-    return certify_and_recover(report, model, opts)
+    return certify_and_recover(report, model)
 
 
 def solve_nuclear(
@@ -205,14 +203,11 @@ def solve_nuclear(
     nuc = float(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T))).sum())
     report.objective = report.linear_objective - rho * nuc
     report.model, report.rho = "nuclear", rho
-    return certify_and_recover(report, model, opts)
+    return certify_and_recover(report, model)
 
 
-def certify_and_recover(
-    report: SolveReport, model: MatrixModel, opts: SolverOptions | None = None
-) -> SolveReport:
+def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     """Attach the rank-one certificate and, when it holds, the eigenpair."""
-    opts = opts or SolverOptions()
     t = model.tensor
     eig = herm_eig(report.X)  # shared by the certificate and the extraction
     try:
@@ -220,11 +215,11 @@ def certify_and_recover(
     except ZeroMatrix:
         report.rank_one_ratio = math.inf
         return report
-    if report.rank_one_ratio > opts.rank1_tol:
+    if report.rank_one_ratio > rs.RANK1_TOL:
         return report
     try:
         vec, _ = rs._extract_from_eig(
-            report.X, eig, model.pi, model.n, model.d, opts.rank1_tol, rs.EXTRACT_TOL
+            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, rs.EXTRACT_TOL
         )
     except (NotRankOne, NotInSubspace):
         return report
@@ -233,14 +228,14 @@ def certify_and_recover(
     res = eigen_residual(t, pair)
     report.eigenpair = pair
     report.eigen_res = res
-    report.certified = bool(res <= opts.eig_tol and abs(value.imag) <= opts.eig_tol)
+    report.certified = bool(res <= EIG_TOL and abs(value.imag) <= EIG_TOL)
     return report
 
 
-def eigen_residual(t: DenseTensor, pair: EigenPair, tol: float = 1e-8) -> float:
+def eigen_residual(t: DenseTensor, pair: EigenPair) -> float:
     """|| T(. conj(x)^{d-1} x^d) - lambda x || for a unit eigenvector candidate."""
     x = np.asarray(pair.vector, dtype=complex)
-    if abs(np.linalg.norm(x) - 1.0) > tol:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_TOL:
         raise NotUnit("eigenvector must have unit norm")
     return float(np.linalg.norm(tz.partial_map(t, x) - pair.value * x))
 
@@ -254,27 +249,26 @@ def best_rank_one_error(t: DenseTensor, pair: EigenPair) -> float:
     the squared error collapses to ||T||^2 - lambda^2.
     """
     x = np.asarray(pair.vector, dtype=complex)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_TOL:
         raise NotUnit("vector must have unit norm")
     approx = tz.rank_one_cps(complex(pair.value).real, np.conj(x), t.half)
     return float(np.linalg.norm(t.entries - approx.entries))
 
 
-def brute_force_max_eig(
-    t: DenseTensor, grid: int = 2000, polish_steps: int = 1
-) -> EigenPair:
+def brute_force_max_eig(t: DenseTensor) -> EigenPair:
     """Grid-search oracle for max T(conj(x)^d x^d) at n = 2.
 
-    Sweeps x = (cos th, sin th e^{i ph}) over a grid x grid lattice (global
-    phase fixed by a real first coordinate), then applies projected gradient
-    ascent steps using the partial map as the Wirtinger gradient direction.
+    Sweeps x = (cos th, sin th e^{i ph}) over an ORACLE_GRID x ORACLE_GRID
+    lattice (global phase fixed by a real first coordinate), then applies
+    projected gradient ascent steps using the partial map as the Wirtinger
+    gradient direction.
     """
     if t.n != 2:
         raise UnsupportedDimension("the brute-force oracle only supports n = 2")
     d = t.half
     m = t.entries.reshape(2**d, 2**d)
-    thetas = np.linspace(0.0, np.pi / 2, grid)
-    phis = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    thetas = np.linspace(0.0, np.pi / 2, ORACLE_GRID)
+    phis = np.linspace(0.0, 2 * np.pi, ORACLE_GRID, endpoint=False)
     best_val = -math.inf
     best_x = None
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
@@ -292,7 +286,7 @@ def brute_force_max_eig(
     x = best_x
     val = best_val
     step = 0.5
-    for _ in range(max(polish_steps, 0) * 25):
+    for _ in range(ORACLE_POLISH_STEPS):
         g = tz.partial_map(t, x)  # ascent direction for the conjugate form
         cand = x + step * g
         nrm = np.linalg.norm(cand)

@@ -170,6 +170,13 @@ def cps_projection_residual(t: DenseTensor) -> float:
     return res / max(t.norm(), 1e-300)
 
 
+def _canonical_phase(u: np.ndarray) -> np.ndarray:
+    """u rotated so that its lowest-index near-max-modulus entry is real positive."""
+    mods = np.abs(u)
+    top = int(np.argmax(mods >= mods.max() - 1e-12))  # lowest near-max index
+    return u * np.conj(u[top] / abs(u[top]))
+
+
 def extract_rank_one_vector(
     x: np.ndarray,
     pi,
@@ -219,10 +226,7 @@ def _extract_from_eig(
     _, _, vh = np.linalg.svd(factor.conj().T, full_matrices=False)
     f1 = np.conj(vh[0])  # top left singular vector of the unfolding
     vec = np.conj(f1) if pi[0] <= d else f1
-    vec = vec / np.linalg.norm(vec)
-    mods = np.abs(vec)
-    top = int(np.argmax(mods >= mods.max() - 1e-12))  # lowest near-max index
-    vec = vec * np.conj(vec[top] / abs(vec[top]))
+    vec = _canonical_phase(vec / np.linalg.norm(vec))
 
     pattern = matricize_pi(tz.rank_one_cps(1.0, vec, d), pi)
     lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +85,8 @@ def linear_offset(n: int, index) -> int:
     return sum((index[k] - 1) * n ** (d - 1 - k) for k in range(d)) + 1
 
 
-def _structure_tol(t: DenseTensor, tol: float = TOL_STRUCT) -> float:
-    return max(tol * t.norm(), ABS_FLOOR)
+def _structure_tol(t: DenseTensor) -> float:
+    return max(TOL_STRUCT * t.norm(), ABS_FLOOR)
 
 
 def _block_swap_conj(arr: np.ndarray, d: int) -> np.ndarray:
@@ -94,9 +95,9 @@ def _block_swap_conj(arr: np.ndarray, d: int) -> np.ndarray:
     return np.conj(np.transpose(arr, axes))
 
 
-def is_symmetric(t: DenseTensor, tol: float = TOL_STRUCT) -> bool:
+def is_symmetric(t: DenseTensor) -> bool:
     """True iff entries are invariant under all mode permutations."""
-    thr = _structure_tol(t, tol)
+    thr = _structure_tol(t)
     arr = t.entries
     for k in range(t.order - 1):  # adjacent swaps generate the whole group
         if np.max(np.abs(arr - np.swapaxes(arr, k, k + 1))) > thr:
@@ -104,10 +105,10 @@ def is_symmetric(t: DenseTensor, tol: float = TOL_STRUCT) -> bool:
     return True
 
 
-def is_ps(t: DenseTensor, tol: float = TOL_STRUCT) -> bool:
+def is_ps(t: DenseTensor) -> bool:
     """True iff symmetric within the first half modes and within the last half."""
     d = t.half
-    thr = _structure_tol(t, tol)
+    thr = _structure_tol(t)
     arr = t.entries
     for k in itertools.chain(range(d - 1), range(d, 2 * d - 1)):
         if np.max(np.abs(arr - np.swapaxes(arr, k, k + 1))) > thr:
@@ -115,12 +116,12 @@ def is_ps(t: DenseTensor, tol: float = TOL_STRUCT) -> bool:
     return True
 
 
-def is_cps(t: DenseTensor, tol: float = TOL_STRUCT) -> bool:
+def is_cps(t: DenseTensor) -> bool:
     """True iff PS and equal to its conjugate transpose."""
-    if not is_ps(t, tol):
+    if not is_ps(t):
         return False
     skew = t.entries - _block_swap_conj(t.entries, t.half)
-    return bool(np.max(np.abs(skew)) <= _structure_tol(t, tol))
+    return bool(np.max(np.abs(skew)) <= _structure_tol(t))
 
 
 def conj_transpose(t: DenseTensor) -> DenseTensor:
@@ -201,46 +202,27 @@ def partial_map(t: DenseTensor, x) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-@dataclass(frozen=True)
-class CpsTerm:
+# Plain records: their fields are stored as given, and a consumer that needs
+# an array converts the field where it uses it.
+class CpsTerm(NamedTuple):
     """One rank-one CPS term: coeff * conj(a)^{ox d} (x) a^{ox d}, coeff real."""
 
     coeff: float
     vector: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", float(self.coeff))
-        object.__setattr__(
-            self, "vector", np.ascontiguousarray(self.vector, dtype=complex)
-        )
 
-
-@dataclass(frozen=True)
-class PsTerm:
+class PsTerm(NamedTuple):
     """One rank-one PS term: same shape as CpsTerm but with a complex coeff."""
 
     coeff: complex
     vector: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(
-            self, "vector", np.ascontiguousarray(self.vector, dtype=complex)
-        )
 
-
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """C-eigenpair (value, unit vector)."""
 
     value: complex
     vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        object.__setattr__(
-            self, "vector", np.ascontiguousarray(self.vector, dtype=complex)
-        )
 
 
 def assemble(terms, n: int, d: int) -> DenseTensor:

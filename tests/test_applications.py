@@ -199,7 +199,12 @@ class TestPerturbAndRetry:
             ap.us_eigen(ap.useig_benchmark("b"))
         res = ap.us_eigen(ap.useig_benchmark("b"), retries=5, eps=1e-4, seed=0)
         assert res.value == pytest.approx(3.1623, abs=1e-3)
-        assert len(res.attempts) >= 2  # the unperturbed failure is logged
+        # (None, certified, objective) for the unperturbed solve, then one
+        # (seed + k, certified, objective) per perturbed attempt; the last certifies
+        assert [(s, c) for s, c, _ in res.attempts] == [(None, False), (0, True)]
+        assert res.attempts[0][2] == pytest.approx(10.0, abs=1e-5)
+        assert res.attempts[-1][2] == res.report.objective
+        assert res.value**2 == pytest.approx(res.attempts[-1][2], abs=1e-12)
 
     def test_perturbation_stability(self):
         base = ap.us_eigen(ap.useig_benchmark("a"))

@@ -120,6 +120,48 @@ class TestRank1:
         assert main(["rank1", gap_file, "--pi", "1,2,3,4"]) == 3
 
 
+class TestNumericFlags:
+    @pytest.fixture
+    def cps_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        tz.save_tensor(random_cps_tensor(3, 4), path)
+        return str(path)
+
+    @pytest.fixture
+    def sym_file(self, tmp_path):
+        path = tmp_path / "z.json"
+        tz.save_tensor(ap.useig_benchmark("b"), path)
+        return str(path)
+
+    def test_zero_tol_runs_to_max_iter(self, cps_file, capsys):
+        # a default-tolerance solve of this tensor converges well before 1000
+        main(["--tol", "0", "rank1", cps_file, "--max-iter", "1000"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["iterations"] == 1000
+        assert payload["converged"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tol", "-0.001", "rank1", "FILE"],
+            ["--tol", "nan", "rank1", "FILE"],
+            ["rank1", "FILE", "--max-iter", "-5"],
+            ["rank1", "FILE", "--max-iter", "0"],
+            ["rank1", "FILE", "--model", "nuclear", "--rho", "0"],
+            ["rank1", "FILE", "--rho", "-2"],
+            ["useig", "ZFILE", "--max-iter", "-1"],
+            ["useig", "ZFILE", "--retries", "2", "--eps", "-0.5"],
+            ["experiment", "random", "--sizes", "4", "--rho", "0"],
+        ],
+    )
+    def test_out_of_range_exits_3(self, cps_file, sym_file, capsys, argv):
+        files = {"FILE": cps_file, "ZFILE": sym_file}
+        assert main([files.get(a, a) for a in argv]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+
+
 class TestUseig:
     def test_benchmark_file(self, tmp_path, capsys):
         path = tmp_path / "z.json"

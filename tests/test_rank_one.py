@@ -73,7 +73,7 @@ class TestFlatLoop:
         # only the model build may construct tensors; the ADMM loop runs on
         # plain arrays, so the count does not grow with the iteration count
         model = r1.build_matrix_model(random_cps_tensor(3, 21))
-        monkeypatch.setattr(r1, "certify_and_recover", lambda report, model, opts: report)
+        monkeypatch.setattr(r1, "certify_and_recover", lambda report, model: report)
         count = [0]
         post_init = tz.DenseTensor.__post_init__
 
