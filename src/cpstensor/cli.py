@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -38,6 +39,7 @@ from .errors import (
     NotSymmetric,
     OddOrder,
     ParseError,
+    RangeError,
     SizeMismatch,
     Uncertified,
 )
@@ -74,11 +76,32 @@ def _check_numeric_flags(args) -> None:
         ("--max-iter", "at least 1", lambda v: v >= 1),
         ("--rho", "a finite number > 0", lambda v: 0.0 < v < math.inf),
         ("--eps", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
+        ("--instances", "at least 1", lambda v: v >= 1),
+        ("--jobs", "at least 1", lambda v: v >= 1),
     )
     for flag, domain, ok in domains:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not ok(value):
             raise ParseError(f"{flag} must be {domain}, got {value}")
+
+
+def _parse_sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ParseError(f"--sizes must be comma-separated integers, got {text!r}") from None
+    if min(sizes) < 2:
+        raise ParseError(f"--sizes must all be at least 2, got {text!r}")
+    return sizes
+
+
+def _load_scenario(path: str) -> ap.RadarScenario:
+    """The radar scenario of a JSON file, checked before any solve."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return ap.scenario_from_config(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"bad scenario file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _solve(model: r1.MatrixModel, method: str, rho, opts) -> r1.SolveReport:
@@ -174,7 +197,7 @@ def cmd_useig(args) -> int:
 
 def _solve_instance(task) -> dict:
     """One experiment instance; module-level so process pools can pickle it."""
-    kind, size, method, seed, rho, tol, max_iter, scenario_cfg = task
+    kind, size, method, seed, rho, tol, max_iter, scenario = task
     opts = _solver_options(tol, max_iter)
     t0 = time.perf_counter()
     lam = math.nan
@@ -187,10 +210,10 @@ def _solve_instance(task) -> dict:
             if kind == "random":
                 t, sign = ap.random_cps(size, seed), 1.0
             else:  # radar: the form's minimum is the largest eigenvalue of -T
-                if scenario_cfg is None:
+                if scenario is None:
                     scenario = ap.default_scenario(size, s0_seed=seed)
                 else:
-                    scenario = ap.scenario_from_config(scenario_cfg, s0_seed=seed)
+                    scenario = dataclasses.replace(scenario, s0=ap.reference_code(size, seed))
                 radar = ap.radar_tensor(scenario)
                 t, sign = tz.DenseTensor(radar.n, radar.order, -radar.entries), -1.0
             report = _solve(r1.build_matrix_model(t), method, rho, opts)
@@ -235,21 +258,18 @@ def _one_blas_thread_for_children():
 
 
 def cmd_experiment(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else None
+    sizes = _parse_sizes(args.sizes) if args.sizes else None
     methods = ["sdp", "nuclear"] if args.model == "both" else [args.model]
-    scenario_cfg = None
-    if getattr(args, "scenario", None):
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario_cfg = json.load(fh)
+    scenario = _load_scenario(args.scenario) if args.scenario else None
     instances = args.instances
     if args.name == "useig":  # the two bundled benchmarks, one instance each
         sizes, methods, instances = [1, 2], ["sdp"], 1
-    elif args.name == "radar" and scenario_cfg is not None:
-        sizes = [int(scenario_cfg["n"])]  # the file fixes the code length
+    elif args.name == "radar" and scenario is not None:
+        sizes = [scenario.n]  # the file fixes the code length
     sizes = sizes or ([4, 6, 8] if args.name == "random" else [5])
     tasks = [
         (args.name, size, method, args.seed + k,
-         args.rho, args.tol, args.max_iter, scenario_cfg)
+         args.rho, args.tol, args.max_iter, scenario)
         for size in sizes
         for method in methods
         for k in range(instances)
@@ -358,9 +378,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join "--flag -1e-3" into "--flag=-1e-3".  Every long option here takes
+    one value, and argparse would read a negative number in exponent form as
+    an option, so the value could not reach its range check."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_negative_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return tok.startswith("-")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_numeric_flags(args)
         return args.func(args)
@@ -372,6 +413,7 @@ def main(argv=None) -> int:
         OddOrder,
         SizeMismatch,
         BadPermutation,
+        RangeError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

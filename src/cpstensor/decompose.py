@@ -335,9 +335,7 @@ def cps_decompose(t: DenseTensor) -> list[CpsTerm]:
             f"design of N^2 = {size**2} terms exceeds budget {MAX_DESIGN_TERMS}"
         )
     try:
-        vec, lam = extract_rank_one_vector(
-            matricize(t), range(1, 2 * d + 1), t.n, d, TOL_DECOMP, TOL_DECOMP
-        )
+        vec, lam = extract_rank_one_vector(matricize(t), range(1, 2 * d + 1), t.n, d, TOL_DECOMP)
         return [CpsTerm(lam, vec)]
     except (NonHermitianInput, NotRankOne, NotInSubspace, ZeroMatrix):
         pass

@@ -210,18 +210,11 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     """Attach the rank-one certificate and, when it holds, the eigenpair."""
     t = model.tensor
     eig = herm_eig(report.X)  # shared by the certificate and the extraction
+    report.rank_one_ratio = math.inf
     try:
         report.rank_one_ratio = eig.modulus_ratio()
-    except ZeroMatrix:
-        report.rank_one_ratio = math.inf
-        return report
-    if report.rank_one_ratio > rs.RANK1_TOL:
-        return report
-    try:
-        vec, _ = rs._extract_from_eig(
-            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, rs.EXTRACT_TOL
-        )
-    except (NotRankOne, NotInSubspace):
+        vec, _ = rs._extract_from_eig(report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL)
+    except (ZeroMatrix, NotRankOne, NotInSubspace):
         return report
     value = tz.conj_form_eval(t, vec)
     pair = EigenPair(value.real, vec)

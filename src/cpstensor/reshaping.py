@@ -18,12 +18,10 @@ from .errors import (
     OrderMismatch,
     SizeMismatch,
 )
-from . import tensor as tz
 from .linalg import HermEigen, herm_eig
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
-EXTRACT_TOL = 1e-6
 
 
 def validate_permutation(pi, order: int) -> tuple[int, ...]:
@@ -41,13 +39,6 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise BadPermutation(f"cannot parse permutation {text!r}") from exc
     return validate_permutation(pi, len(pi))
-
-
-def invert_permutation(pi) -> tuple[int, ...]:
-    inv = [0] * len(pi)
-    for pos, p in enumerate(pi):
-        inv[p - 1] = pos + 1
-    return tuple(inv)
 
 
 def pi_transpose(t: DenseTensor, pi) -> DenseTensor:
@@ -94,7 +85,7 @@ def dematricize_pi(m: np.ndarray, pi, n: int, d: int) -> DenseTensor:
     """Exact inverse of matricize_pi."""
     pi = validate_permutation(pi, 2 * d)
     tp = dematricize(m, n, d)
-    return pi_transpose(tp, invert_permutation(pi))
+    return pi_transpose(tp, np.argsort(pi) + 1)
 
 
 def satisfies_conj_condition(pi, d: int) -> bool:
@@ -135,9 +126,10 @@ def cps_projector(n: int, d: int, pi: tuple[int, ...]):
     Matrix entries share an orbit when the tensor entries they hold differ by
     permutations within each mode half.  Averaging over each orbit is the PS
     symmetrization; pairing it with its half-swap partner is the Hermitian
-    part, exact by construction.  pi must satisfy the conjugate condition;
-    the identity gives tensor coordinates, where the input may also be the
-    order-2d tensor itself, since it lays out its entries in the same order.
+    part.  The projection is right for every pi; the output is an exactly
+    Hermitian matrix when pi satisfies the conjugate condition.  The identity
+    gives tensor coordinates, where the input may also be the order-2d tensor
+    itself, since it lays out its entries in the same order.
     """
     big = n**d
     # row m: the digit that mode m+1 of T takes at each flat matrix position
@@ -164,12 +156,6 @@ def cps_part(w: np.ndarray, d: int) -> np.ndarray:
     return cps_projector(w.shape[0], d, tuple(range(1, 2 * d + 1)))(w)
 
 
-def cps_projection_residual(t: DenseTensor) -> float:
-    """Distance from t to the CPS subspace, relative to ||t||."""
-    res = float(np.linalg.norm(t.entries - cps_part(t.entries, t.half)))
-    return res / max(t.norm(), 1e-300)
-
-
 def _canonical_phase(u: np.ndarray) -> np.ndarray:
     """u rotated so that its lowest-index near-max-modulus entry is real positive."""
     mods = np.abs(u)
@@ -178,12 +164,7 @@ def _canonical_phase(u: np.ndarray) -> np.ndarray:
 
 
 def extract_rank_one_vector(
-    x: np.ndarray,
-    pi,
-    n: int,
-    d: int,
-    rank1_tol: float = RANK1_TOL,
-    extract_tol: float = EXTRACT_TOL,
+    x: np.ndarray, pi, n: int, d: int, tol: float = RANK1_TOL
 ) -> tuple[np.ndarray, float]:
     """Recover (unit x, real lam) with X ~ lam * M_pi(conj(x)^{ox d} (x) x^{ox d}).
 
@@ -195,29 +176,26 @@ def extract_rank_one_vector(
     this stays accurate on solver iterates that are only approximately
     rank-one, unlike reading entry patterns directly.  The global phase is
     fixed by making the largest-modulus entry of x real positive (lowest
-    index wins ties).
+    index wins ties).  tol bounds the eigenvalue modulus ratio, the distance
+    to the subspace and the reconstruction residual, each relative.
     """
     x = np.asarray(x, dtype=complex)
+    if x.shape != (n**d, n**d):
+        raise SizeMismatch(f"expected shape {(n ** d, n ** d)}, got {x.shape}")
     pi = validate_permutation(pi, 2 * d)
-    return _extract_from_eig(x, herm_eig(x), pi, n, d, rank1_tol, extract_tol)
+    return _extract_from_eig(x, herm_eig(x), pi, n, d, tol)
 
 
 def _extract_from_eig(
-    x: np.ndarray,
-    eig: HermEigen,
-    pi: tuple[int, ...],
-    n: int,
-    d: int,
-    rank1_tol: float,
-    extract_tol: float,
+    x: np.ndarray, eig: HermEigen, pi: tuple[int, ...], n: int, d: int, tol: float
 ) -> tuple[np.ndarray, float]:
     """extract_rank_one_vector given herm_eig(x) and a validated pi, for
     callers that already hold the eigendecomposition."""
     ratio = eig.modulus_ratio()
-    if ratio > rank1_tol:
+    if ratio > tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
-    w = dematricize_pi(x, pi, n, d)
-    if cps_projection_residual(w) > max(extract_tol, 1e-8):
+    scale = max(np.linalg.norm(x), 1e-300)
+    if np.linalg.norm(x - cps_projector(n, d, pi)(x)) / scale > max(tol, 1e-8):
         raise NotInSubspace("matrix does not lie in the matricized CPS subspace")
 
     top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
@@ -228,9 +206,14 @@ def _extract_from_eig(
     vec = np.conj(f1) if pi[0] <= d else f1
     vec = _canonical_phase(vec / np.linalg.norm(vec))
 
-    pattern = matricize_pi(tz.rank_one_cps(1.0, vec, d), pi)
+    # M_pi of the unit rank-one CPS tensor: its source modes in T's first half
+    # carry conj(vec), those in the second half vec
+    factors = [np.conj(vec) if p <= d else vec for p in pi]
+    pattern = np.outer(
+        functools.reduce(np.kron, factors[:d]), functools.reduce(np.kron, factors[d:])
+    )
     lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1
-    res = np.linalg.norm(x - lam * pattern) / max(np.linalg.norm(x), 1e-300)
-    if res > extract_tol:
+    res = np.linalg.norm(x - lam * pattern) / scale
+    if res > tol:
         raise NotRankOne(f"rank-one reconstruction residual {res:.3e} too large")
     return vec, lam

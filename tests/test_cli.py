@@ -152,6 +152,16 @@ class TestNumericFlags:
             ["useig", "ZFILE", "--max-iter", "-1"],
             ["useig", "ZFILE", "--retries", "2", "--eps", "-0.5"],
             ["experiment", "random", "--sizes", "4", "--rho", "0"],
+            ["--tol", "-1e-3", "rank1", "FILE"],
+            ["--tol=-1e-3", "rank1", "FILE"],
+            ["rank1", "FILE", "--rho", "-2e0"],
+            ["rank1", "FILE", "--rho=-2e0"],
+            ["experiment", "random", "--sizes", "4", "--instances", "0"],
+            ["--jobs", "0", "experiment", "random", "--sizes", "4"],
+            ["experiment", "random", "--sizes", "4", "--jobs", "-1"],
+            ["experiment", "random", "--sizes", "1"],
+            ["experiment", "radar", "--sizes", "0"],
+            ["experiment", "random", "--sizes", "x"],
         ],
     )
     def test_out_of_range_exits_3(self, cps_file, sym_file, capsys, argv):
@@ -229,6 +239,25 @@ class TestExperiment:
         )
         assert code == 0
         assert all(r["size"] == "4" for r in rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"n": 4, "m": 4, "rho": 10.0,
+                        "patches": [{"r": 9, "delta": [1], "sigma2": 1.0}]}),
+            json.dumps({"n": 4, "m": 4, "rho": 10.0}),
+            '{"n": 4,',
+        ],
+        ids=["range_bin", "no_patches", "bad_json"],
+    )
+    def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code = main(["experiment", "radar", "--model", "sdp", "--scenario", str(path)])
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
 
     def test_global_seed_flag(self, tmp_path):
         out = tmp_path / "rows.csv"

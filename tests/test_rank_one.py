@@ -189,6 +189,34 @@ class TestCertifyAndRecover:
         assert r1.certify_and_recover(report, model).certified
         assert len(calls) == 1
 
+    def test_no_tensor_constructions(self, monkeypatch):
+        # certification works on the plain matrix X and the model's arrays
+        rng = np.random.default_rng(14)
+        a = random_unit(3, rng)
+        model = r1.build_matrix_model(tz.rank_one_cps(1.0, np.conj(a), 2))
+        x = rs.matricize_pi(tz.rank_one_cps(1.0, a, 2), model.pi)
+        report = r1.SolveReport(
+            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
+            dual_residual=0.0, iterations=0, converged=True,
+        )
+        count = [0]
+        post_init = tz.DenseTensor.__post_init__
+
+        def counted(obj):
+            count[0] += 1
+            post_init(obj)
+
+        monkeypatch.setattr(tz.DenseTensor, "__post_init__", counted)
+        assert r1.certify_and_recover(report, model).certified
+        assert count[0] == 0
+
+    def test_one_projector_build_per_solve(self):
+        # the solve and the certificate's subspace test share one kernel
+        model = r1.build_matrix_model(random_cps_tensor(4, 8))
+        rs.cps_projector.cache_clear()
+        assert r1.solve_sdp(model, FAST).certified
+        assert rs.cps_projector.cache_info().misses == 1
+
     def test_identity_not_certified(self, gap_tensor):
         model = r1.build_matrix_model(gap_tensor)
         x = np.eye(4, dtype=complex) / 4.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
-from cpstensor.errors import BadPermutation, NotInSubspace, NotRankOne
+from cpstensor.errors import BadPermutation, NotInSubspace, NotRankOne, SizeMismatch
 from cpstensor.linalg import top_singular_ratio
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
 
@@ -167,10 +167,10 @@ def _random_matrix(size, rng):
 class TestCpsProjector:
     @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3)])
     def test_matches_symmetrize_then_hermitian_part(self, n, d):
+        # every permutation, not only the valid ones: extraction projects
+        # with whatever pi it is given
         rng = np.random.default_rng(40 + d)
-        pis = list(_valid_pis(d))
-        assert pis
-        for pi in pis:
+        for pi in itertools.permutations(range(1, 2 * d + 1)):
             x = _random_matrix(n**d, rng)
             ref = rs.matricize_pi(
                 tz.hermitian_part(tz.symmetrize_ps(rs.dematricize_pi(x, pi, n, d))), pi
@@ -229,6 +229,25 @@ class TestExtraction:
             vec, lam = rs.extract_rank_one_vector(x, pi, 4, 2)
             recon = lam * rs.matricize_pi(tz.rank_one_cps(1.0, vec, 2), pi)
             assert np.linalg.norm(x - recon) <= 1e-8 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3)])
+    def test_round_trip_every_hermitian_pi(self, n, d):
+        # the pattern is rebuilt from Kronecker products of the factors; it
+        # must match the matricized rank-one tensor for every pi that gives a
+        # Hermitian matricization, valid or not
+        rng = np.random.default_rng(17 + d)
+        for pi in itertools.permutations(range(1, 2 * d + 1)):
+            if not rs.satisfies_conj_condition(pi, d):
+                continue
+            x = rs.matricize_pi(tz.rank_one_cps(-1.5, random_unit(n, rng), d), pi)
+            vec, lam = rs.extract_rank_one_vector(x, pi, n, d)
+            recon = lam * rs.matricize_pi(tz.rank_one_cps(1.0, vec, d), pi)
+            assert lam == pytest.approx(-1.5, abs=1e-12)
+            assert np.max(np.abs(x - recon)) <= 1e-14
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            rs.extract_rank_one_vector(np.eye(4), rs.canonical_pi(2), 3, 2)
 
     def test_negative_coefficient(self):
         rng = np.random.default_rng(13)
