@@ -9,14 +9,18 @@ convex relaxations are solved by ADMM:
 * nuclear: drop PSD, penalize the nuclear norm (its prox is an eigenvalue
   soft threshold); on any feasible rank-one point the penalty is constant.
 
-Solutions are certified rank-one through the modulus ratio of the two top
-eigenvalues; certified iterates yield an eigenpair of the original tensor.
+At d = 2 the loop runs on the real symmetric matrices Y = U^H X U of
+U = reshaping.real_frame(n); other orders keep X itself.  Solutions are
+certified rank-one through the modulus ratio of the two top eigenvalues;
+certified iterates yield an eigenpair of the original tensor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,15 @@ class SolverOptions:
     max_iter: int = MAX_ITER
 
 
+class Coordinates(NamedTuple):
+    """The ADMM loop's data in coordinates Y = U^H X U."""
+
+    u: np.ndarray | None  # None: U = I, the loop works on X itself
+    c: np.ndarray  # U^H C U
+    project: Callable[[np.ndarray], np.ndarray]  # onto M_pi(CPS), in these coordinates
+    c_norm: float  # ||C||_2, the same in all coordinates
+
+
 @dataclass
 class MatrixModel:
     """Data of the lifted problem: C = conj(M_pi(T)) for a validated pi."""
@@ -67,6 +80,17 @@ class MatrixModel:
     @property
     def size(self) -> int:
         return self.n**self.d
+
+    @functools.cached_property
+    def coordinates(self) -> Coordinates:
+        """The solve's coordinates, built once per model: real Y = U^H X U
+        with U = reshaping.real_frame(n) at d = 2, X itself at other orders."""
+        c_norm = float(np.linalg.norm(self.C, 2))
+        if self.d != 2:
+            return Coordinates(None, self.C, rs.cps_projector(self.n, self.d, self.pi), c_norm)
+        u = rs.real_frame(self.n)
+        c = (u.conj().T @ self.C @ u).real
+        return Coordinates(u, c, rs.real_cps_projector(self.n, self.pi), c_norm)
 
 
 @dataclass
@@ -84,6 +108,8 @@ class SolveReport:
     certified: bool = False
     model: str = "sdp"
     rho: float = 0.0
+    stop_reason: str = ""  # "tol", "max_iter" or "non-finite"
+    beta_final: float = 0.0  # the ADMM penalty of the last iteration
 
     def to_dict(self) -> dict:
         pair = None
@@ -105,6 +131,8 @@ class SolveReport:
             "eigen_residual": self.eigen_res,
             "eigenpair": pair,
             "rho": self.rho,
+            "stop_reason": self.stop_reason,
+            "beta_final": self.beta_final,
         }
 
 
@@ -131,13 +159,13 @@ def project_cps_subspace(x: np.ndarray, model: MatrixModel) -> np.ndarray:
     return rs.cps_projector(model.n, model.d, model.pi)(x)
 
 
-def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
+def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
-    iterate, X = Y at the optimum.  The loop runs on plain arrays; their
-    structure was checked when the model was built."""
-    c = model.C
-    project = rs.cps_projector(model.n, model.d, model.pi)
-    proj_identity = project(np.eye(model.size, dtype=complex))
+    iterate, X = Y at the optimum.  The loop runs on plain arrays in the
+    given coordinates, whose structure was checked when the model was
+    built; its final X is mapped back by U (.) U^H once, after the loop."""
+    c, project = coords.c, coords.project
+    proj_identity = project(np.eye(len(c), dtype=c.dtype))
     proj_identity_trace = float(np.trace(proj_identity).real)
 
     def project_affine(w: np.ndarray) -> np.ndarray:
@@ -146,12 +174,13 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         shift = (1.0 - np.trace(w).real) / proj_identity_trace
         return w + shift * proj_identity
 
-    beta = max(float(np.linalg.norm(c, 2)), 1e-12)
+    beta = max(coords.c_norm, 1e-12)
     x = project_affine(np.zeros_like(c))
     y = x.copy()
     u = np.zeros_like(c)
     primal = dual = math.inf
     it = 0
+    stop = "max_iter"
     for it in range(1, opts.max_iter + 1):
         x = project_affine(y + (c - u) / beta)
         x_relaxed = OVER_RELAX * x + (1.0 - OVER_RELAX) * y
@@ -161,6 +190,10 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         u = u + beta * (x_relaxed - y)
         primal = float(np.linalg.norm(x - y))
         if max(primal, dual) <= opts.tol:
+            stop = "tol"
+            break
+        if not (math.isfinite(primal) and math.isfinite(dual)):
+            stop = "non-finite"
             break
         if it % ADAPT_EVERY == 0:
             if primal > ADAPT_RATIO * dual:
@@ -168,16 +201,19 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
             elif dual > ADAPT_RATIO * primal:
                 beta /= 2.0
     lin = float(np.vdot(c, x).real)
+    if coords.u is not None:
+        x = coords.u @ x @ coords.u.conj().T
     return SolveReport(
         X=x, objective=lin, linear_objective=lin, primal_residual=primal,
-        dual_residual=dual, iterations=it, converged=max(primal, dual) <= opts.tol,
+        dual_residual=dual, iterations=it, converged=stop == "tol",
+        stop_reason=stop, beta_final=beta,
     )
 
 
 def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveReport:
     """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
     opts = opts or SolverOptions()
-    report = _admm(model, lambda w, beta: _spectral_prox(w), opts)
+    report = _admm(model.coordinates, lambda w, beta: _spectral_prox(w), opts)
     return certify_and_recover(report, model)
 
 
@@ -195,21 +231,25 @@ def solve_nuclear(
     """
     opts = opts or SolverOptions()
     if rho is None:
-        rho = float(np.linalg.norm(model.C, 2))
+        rho = model.coordinates.c_norm
     if rho <= 0:
         raise ValueError("rho must be positive")
-    report = _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), opts)
-    x = report.X
-    nuc = float(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T))).sum())
-    report.objective = report.linear_objective - rho * nuc
+    report = _admm(model.coordinates, lambda w, beta: _spectral_prox(w, rho / beta), opts)
     report.model, report.rho = "nuclear", rho
     return certify_and_recover(report, model)
 
 
 def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
-    """Attach the rank-one certificate and, when it holds, the eigenpair."""
+    """Attach the rank-one certificate and, when it holds, the eigenpair.
+
+    One eigendecomposition of X serves the certificate, the extraction and,
+    for the nuclear model, the penalized objective <C, X> - rho ||X||_*.
+    """
     t = model.tensor
-    eig = herm_eig(report.X)  # shared by the certificate and the extraction
+    eig = herm_eig(report.X)
+    if report.model == "nuclear":
+        nuc = float(np.abs(eig.eigenvalues).sum())
+        report.objective = report.linear_objective - report.rho * nuc
     report.rank_one_ratio = math.inf
     try:
         report.rank_one_ratio = eig.modulus_ratio()

@@ -8,6 +8,8 @@ matricizations certify rank-one tensors (rank condition).
 from __future__ import annotations
 
 import functools
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,16 +121,34 @@ def canonical_pi(d: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
-@functools.lru_cache(maxsize=32)
-def cps_projector(n: int, d: int, pi: tuple[int, ...]):
-    """Orthogonal projection onto M_pi(CPS), built once per (n, d, pi).
+class OrbitProjector(NamedTuple):
+    """Orthogonal projection onto M_pi(CPS) as an orbit average and gather.
 
     Matrix entries share an orbit when the tensor entries they hold differ by
     permutations within each mode half.  Averaging over each orbit is the PS
     symmetrization; pairing it with its half-swap partner is the Hermitian
-    part.  The projection is right for every pi; the output is an exactly
-    Hermitian matrix when pi satisfies the conjugate condition.  The identity
-    gives tensor coordinates, where the input may also be the order-2d tensor
+    part.
+    """
+
+    orbit: np.ndarray  # orbit label of each flat matrix position
+    swap: np.ndarray  # label of each orbit's half-swap partner
+    size: np.ndarray  # positions per orbit
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        orbit, swap, size = self
+        flat = x.reshape(-1)
+        re = np.bincount(orbit, weights=flat.real) / size
+        im = np.bincount(orbit, weights=flat.imag) / size
+        return (0.5 * (re + re[swap]) + 0.5j * (im - im[swap]))[orbit].reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def cps_projector(n: int, d: int, pi: tuple[int, ...]) -> OrbitProjector:
+    """Orthogonal projection onto M_pi(CPS), built once per (n, d, pi).
+
+    The projection is right for every pi; the output is an exactly Hermitian
+    matrix when pi satisfies the conjugate condition.  The identity gives
+    tensor coordinates, where the input may also be the order-2d tensor
     itself, since it lays out its entries in the same order.
     """
     big = n**d
@@ -139,13 +159,78 @@ def cps_projector(n: int, d: int, pi: tuple[int, ...]):
     key = (place @ np.sort(modes[:d], axis=0)) * big + place @ np.sort(modes[d:], axis=0)
     labels, orbit = np.unique(key, return_inverse=True)
     swap = np.searchsorted(labels, (labels % big) * big + labels // big)
-    size = np.bincount(orbit)
+    return OrbitProjector(orbit, swap, np.bincount(orbit))
 
-    def project(x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(-1)
-        re = np.bincount(orbit, weights=flat.real) / size
-        im = np.bincount(orbit, weights=flat.imag) / size
-        return (0.5 * (re + re[swap]) + 0.5j * (im - im[swap]))[orbit].reshape(x.shape)
+
+@functools.lru_cache(maxsize=32)
+def real_frame(n: int) -> np.ndarray:
+    """The unitary U with columns e_i (x) e_i, (e_ij + e_ji)/sqrt2 and
+    i (e_ij - e_ji)/sqrt2 for i < j, where e_ij = e_i (x) e_j.
+
+    Each column is fixed by J, the swap of the two factors of C^n (x) C^n
+    followed by conjugation.  At d = 2 every matrix X in M_pi(CPS) commutes
+    with J, for every pi that meets both conditions, because
+    X[(b,a),(d,c)] = conj(X[(a,b),(c,d)]) holds for a Hermitian tensor; so
+    U^H X U is real symmetric.
+    """
+    i, j = np.triu_indices(n, 1)
+    pairs = len(i)
+    sym, anti = n + np.arange(pairs), n + pairs + np.arange(pairs)
+    u = np.zeros((n * n, n * n), dtype=complex)
+    u[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    u[i * n + j, sym] = u[j * n + i, sym] = math.sqrt(0.5)
+    u[i * n + j, anti] = 1j * math.sqrt(0.5)
+    u[j * n + i, anti] = -1j * math.sqrt(0.5)
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=32)
+def real_cps_projector(n: int, pi: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The d = 2 projection onto M_pi(CPS) in the coordinates Y = U^H X U of
+    U = real_frame(n): P_w(Y) = U^H P(U Y U^H) U with P = cps_projector.
+
+    For pi meeting both conditions, U Y U^H is fixed by J for every real Y,
+    and so is every matrix of M_pi(CPS); so P_w is the orthogonal projection
+    onto the real subspace U^H M_pi(CPS) U, and P_w = Q Q^T for the image Q
+    under U^H (.) U of the orthonormal orbit basis of M_pi(CPS): for an orbit
+    o with half-swap partner s, (1_o + 1_s) and i (1_o - 1_s), normalized, or
+    1_o alone when s = o.  Entry (k, l) of Y lies in at most two columns of
+    Q, one for each J-orbit of the positions (r, c) of X with
+    U[r, k] U[c, l] != 0.  Those columns and values are found once per
+    (n, pi); then P_w costs one weighted bincount and one gather.
+    """
+    big = n * n
+    orbit, swap, size = cps_projector(n, 2, pi)
+    u = real_frame(n)
+    # the rows of each column of U, e_ab before e_ba, and its two entries there;
+    # a diagonal column is e_aa / 2 + e_aa / 2
+    nonzero = u != 0
+    at = np.array([nonzero.argmax(axis=0), big - 1 - nonzero[::-1].argmax(axis=0)])
+    entry = np.take_along_axis(u, at, axis=0)
+    entry[:, at[0] == at[1]] = 0.5
+    columns, values = [], []
+    for b in (0, 1):
+        # position (at[0, k], at[b, l]) of X, with weight conj(U[r, k]) U[c, l], and
+        # its image under J, (at[1, k], at[1 - b, l]), which lies in the partner orbit
+        first = orbit[(at[0][:, None] * big + at[b]).reshape(-1)]
+        w = np.outer(np.conj(entry[0]), entry[b]).reshape(-1)
+        w_image = np.outer(np.conj(entry[1]), entry[1 - b]).reshape(-1)
+        lead = np.minimum(first, swap[first])
+        paired = first != swap[first]
+        scale = 1.0 / np.sqrt(np.where(paired, 2.0, 1.0) * size[first])
+        # a real weight meets only (1_o + 1_s), an imaginary one only i (1_o - 1_s)
+        anti = w.imag != 0
+        sign = np.where(first == lead, -1.0, 1.0)
+        anti_value = np.where(paired, sign * (w - w_image).imag, 0.0)
+        columns.append(np.where(anti, len(size) + lead, lead))
+        values.append(scale * np.where(anti, anti_value, (w + w_image).real))
+    columns, values = np.array(columns), np.array(values)
+
+    def project(y: np.ndarray) -> np.ndarray:
+        flat = y.reshape(-1)
+        q_y = np.bincount(columns.ravel(), weights=(values * flat).ravel(), minlength=2 * len(size))
+        return (values * q_y[columns]).sum(axis=0).reshape(y.shape)
 
     return project
 

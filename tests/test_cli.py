@@ -116,6 +116,14 @@ class TestRank1:
         assert payload["model"] == "nuclear"
         assert payload["certified"] is True
 
+    def test_stop_reason_and_final_penalty(self, rank_one_file, capsys):
+        main(["rank1", rank_one_file])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stop_reason"] == "tol"
+        assert payload["beta_final"] > 0
+        main(["rank1", rank_one_file, "--max-iter", "3"])
+        assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iter"
+
     def test_bad_permutation_exit(self, gap_file):
         assert main(["rank1", gap_file, "--pi", "1,2,3,4"]) == 3
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cpstensor.applications as ap
 import cpstensor.rank_one as r1
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
@@ -91,6 +92,106 @@ class TestFlatLoop:
                 seen[solve.__name__, max_iter] = count[0]
         assert seen["solve_sdp", 50] == seen["solve_sdp", 500]
         assert seen["solve_nuclear", 50] == seen["solve_nuclear", 500]
+
+
+def _sdp_prox(w, beta):
+    return r1._spectral_prox(w)
+
+
+class TestCoordinates:
+    def test_real_at_order_four(self):
+        model = r1.build_matrix_model(random_cps_tensor(3, 22))
+        coords = model.coordinates
+        assert coords.c.dtype == np.float64
+        assert np.allclose(coords.u @ coords.c @ coords.u.conj().T, model.C, atol=1e-14)
+        assert model.coordinates is coords  # built once per model
+
+    def test_complex_at_order_six(self):
+        model = r1.build_matrix_model(random_cps_tensor(2, 23, d=3))
+        assert model.coordinates.u is None
+        assert model.coordinates.c is model.C
+
+    @pytest.mark.parametrize("nuclear", [False, True])
+    def test_same_loop_in_both_coordinates(self, nuclear):
+        # the one loop on X itself (U = I) and on real Y = U^H X U
+        model = r1.build_matrix_model(random_cps_tensor(4, 24))
+        real = model.coordinates
+        plain = r1.Coordinates(None, model.C, rs.cps_projector(4, 2, model.pi), real.c_norm)
+        rho = real.c_norm
+        prox = (lambda w, beta: r1._spectral_prox(w, rho / beta)) if nuclear else _sdp_prox
+        a = r1._admm(plain, prox, FAST)
+        b = r1._admm(real, prox, FAST)
+        assert a.stop_reason == b.stop_reason == "tol"
+        assert a.iterations == b.iterations
+        assert a.beta_final == b.beta_final
+        assert b.linear_objective == pytest.approx(a.linear_objective, rel=1e-12)
+        assert np.max(np.abs(b.X - a.X)) <= 1e-9
+
+
+class TestStopReason:
+    def test_tol(self):
+        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(3, 25)), FAST)
+        assert report.stop_reason == "tol" and report.converged
+        assert report.beta_final > 0
+        assert report.to_dict()["stop_reason"] == "tol"
+        assert report.to_dict()["beta_final"] == report.beta_final
+
+    def test_max_iter(self):
+        model = r1.build_matrix_model(random_cps_tensor(3, 25))
+        report = r1.solve_nuclear(model, opts=r1.SolverOptions(tol=1e-7, max_iter=7))
+        assert report.stop_reason == "max_iter" and not report.converged
+        assert report.iterations == 7
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_finite(self, d):
+        # a NaN stops the loop at once instead of running to max_iter
+        model = r1.build_matrix_model(random_cps_tensor(2, 26, d=d))
+        report = r1._admm(model.coordinates, lambda w, beta: np.full_like(w, np.nan), FAST)
+        assert report.stop_reason == "non-finite" and not report.converged
+        assert report.iterations == 1
+
+
+class TestSpectralCalls:
+    def test_one_norm_and_one_eigendecomposition(self, monkeypatch):
+        # ||C||_2 once per model; ||X||_* from the certificate's herm_eig
+        model = r1.build_matrix_model(random_cps_tensor(4, 27))
+        big = model.size
+        calls = []
+
+        def counted(name, fn, square_only=False):
+            def wrapper(a, *args, **kwargs):
+                if not square_only or np.shape(a) == (big, big):
+                    if name != "norm" or (args[:1] or (kwargs.get("ord"),))[0] == 2:
+                        calls.append(name)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd, True))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        herm_eig = counted("herm_eig", r1.herm_eig)
+        monkeypatch.setattr(r1, "herm_eig", herm_eig)
+        monkeypatch.setattr(rs, "herm_eig", herm_eig)
+        assert r1.solve_nuclear(model, opts=FAST).certified
+        assert sorted(calls) == ["herm_eig", "norm"]
+        calls.clear()
+        assert r1.solve_sdp(model, FAST).certified
+        assert calls == ["herm_eig"]
+
+
+class TestPinnedIterates:
+    # random n=4 tensors of acceptance criterion 8, default options
+    @pytest.mark.parametrize(
+        "seed,sdp_iters,nuclear_iters",
+        [(8000, 255, 257), (8001, 408, 352), (8002, 317, 282), (8003, 386, 390)],
+    )
+    def test_iterations(self, seed, sdp_iters, nuclear_iters):
+        model = r1.build_matrix_model(ap.random_cps(4, seed))
+        sdp = r1.solve_sdp(model)
+        nuclear = r1.solve_nuclear(model)
+        assert (sdp.iterations, nuclear.iterations) == (sdp_iters, nuclear_iters)
+        assert sdp.certified and nuclear.certified
 
 
 class TestSolveSdp:

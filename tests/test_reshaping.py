@@ -194,6 +194,38 @@ class TestCpsProjector:
             assert np.max(np.abs(project(p) - p)) <= 1e-14 * np.linalg.norm(p)
 
 
+class TestRealCoordinates:
+    # d = 2: U^H M_pi(CPS) U is real symmetric for every pi meeting both conditions
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_frame_is_unitary(self, n):
+        u = rs.real_frame(n)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n * n))) <= 1e-15
+        assert np.max(np.count_nonzero(u, axis=0)) <= 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_data_is_real(self, n):
+        u = rs.real_frame(n)
+        for k, pi in enumerate(_valid_pis(2)):
+            c = np.conj(rs.matricize_pi(random_cps_tensor(n, 70 + k), pi))
+            assert np.max(np.abs((u.conj().T @ c @ u).imag)) <= 1e-14 * np.linalg.norm(c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_projector(self, n):
+        rng = np.random.default_rng(80 + n)
+        u = rs.real_frame(n)
+        pis = list(_valid_pis(2))
+        assert len(pis) == 8
+        for pi in pis:
+            project = rs.real_cps_projector(n, pi)
+            y = rng.standard_normal((n * n, n * n))  # any real matrix, not only symmetric
+            ref = u.conj().T @ rs.cps_projector(n, 2, pi)(u @ y @ u.conj().T) @ u
+            p = project(y)
+            assert p.dtype == np.float64
+            assert np.max(np.abs(p - ref)) <= 1e-13
+            assert np.array_equal(p, p.T)
+            assert np.max(np.abs(project(p) - p)) <= 1e-13
+
+
 class TestExtraction:
     def test_one_eigendecomposition(self, monkeypatch):
         calls = []
