@@ -197,7 +197,9 @@ def us_eigen(
     On certification the recovered x is rotated by e^{-i theta/d} with
     theta = arg<Z, x^{ox d}> so the symmetric form at the result is real
     nonnegative; the US-eigenvalue is the nonnegative square root of the
-    objective.  Uncertified solves fall back to perturb-and-retry when
+    certified eigenpair's value, |<Z, x^{ox d}>|^2 at the returned x (of the
+    perturbed Z for a retry), which does not carry the solver's error in
+    <C, X>.  Uncertified solves fall back to perturb-and-retry when
     retries > 0.
     """
     return _first_certified(z, [None, *range(seed, seed + retries)], eps, opts)
@@ -207,7 +209,7 @@ def _us_pair_from_report(z: DenseTensor, report: SolveReport) -> tuple[float, np
     x = report.eigenpair.vector
     theta = np.angle(symmetric_power_inner(z, x))
     vec = np.exp(-1j * theta / z.order) * x
-    lam = math.sqrt(max(report.objective, 0.0))
+    lam = math.sqrt(max(report.eigenpair.value, 0.0))
     return lam, vec
 
 

@@ -170,6 +170,9 @@ def cmd_rank1(args) -> int:
     opts = _solver_options(args.tol, args.max_iter)
     report = _solve(model, args.model, args.rho, opts)
     _emit(json.dumps(report.to_dict()) + "\n", args.output)
+    if report.stop_reason == "diverged":
+        print("error: the ADMM iterates diverged; the model may be unbounded", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 

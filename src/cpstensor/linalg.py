@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernel used by every other module.
 
-All functions are pure, operate on plain ``complex128`` numpy arrays and
-keep no shared state, so they are safe to call concurrently.
+All functions are pure, operate on plain ``complex128`` numpy arrays (real
+``float64`` input to the Hermitian routines stays real) and keep no shared
+state, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ class HermEigen:
 
 
 def require_hermitian(x: np.ndarray) -> np.ndarray:
-    """Return X symmetrized, or raise NonHermitianInput if it is not Hermitian."""
-    x = np.asarray(x, dtype=complex)
+    """Return X symmetrized, or raise NonHermitianInput if it is not Hermitian.
+    A real X stays real, so its eigendecomposition runs in real arithmetic."""
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise NonHermitianInput(f"expected a square matrix, got shape {x.shape}")
     res = float(np.linalg.norm(x - x.conj().T))  # norm of the skew part

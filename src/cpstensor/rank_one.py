@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,8 +42,15 @@ from .tensor import DenseTensor, EigenPair
 SOLVER_TOL = 1e-7
 MAX_ITER = 10000
 OVER_RELAX = 1.7  # standard over-relaxation factor in (1, 2)
-ADAPT_EVERY = 10  # iterations between penalty rebalancing steps
+ADAPT_EVERY = 10  # loop steps between penalty rebalancing checks
 ADAPT_RATIO = 10.0  # residual imbalance that doubles or halves the penalty
+AA_MEMORY = 5  # past steps in the Anderson extrapolation
+AA_MAX_PAUSE = 64  # longest pause of extrapolation after rejected ones
+AA_REGULARIZATION = 1e-10  # Tikhonov weight of the fit, relative to the Gram trace
+# Relative residual drop an extrapolated point must beat.  On a slow drift along
+# a flat face the residual is constant up to round-off, and a tie is no progress.
+AA_MIN_DECREASE = 1e-6
+DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X has ||X||_F <= 1
 EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows
 UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
 ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
@@ -108,8 +115,10 @@ class SolveReport:
     certified: bool = False
     model: str = "sdp"
     rho: float = 0.0
-    stop_reason: str = ""  # "tol", "max_iter" or "non-finite"
+    stop_reason: str = ""  # "tol", "max_iter", "non-finite" or "diverged"
     beta_final: float = 0.0  # the ADMM penalty of the last iteration
+    optimality_gap: float = math.nan  # (dual bound - lambda) / |lambda| when certified
+    multiplier: np.ndarray | None = field(default=None, repr=False)  # final u, loop coordinates
 
     def to_dict(self) -> dict:
         pair = None
@@ -133,6 +142,7 @@ class SolveReport:
             "rho": self.rho,
             "stop_reason": self.stop_reason,
             "beta_final": self.beta_final,
+            "optimality_gap": self.optimality_gap,
         }
 
 
@@ -159,11 +169,74 @@ def project_cps_subspace(x: np.ndarray, model: MatrixModel) -> np.ndarray:
     return rs.cps_projector(model.n, model.d, model.pi)(x)
 
 
+class _Step(NamedTuple):
+    """One evaluation of the ADMM map T at a state z = (Y, u/beta)."""
+
+    x: np.ndarray  # the affine iterate X of the pass
+    image: np.ndarray  # T(z)
+    residual: np.ndarray  # T(z) - z
+    residual_norm: float
+    primal: float  # ||X - Y||
+    dual: float  # beta ||Y_new - Y||
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """A contiguous array as a flat real vector: Re<a, b> is its dot product."""
+    return a.reshape(-1).view(np.float64)
+
+
+class _Anderson:
+    """Type-II Anderson acceleration history: the last AA_MEMORY differences
+    of T(z) and of g = T(z) - z, in preallocated ring buffers, with the Gram
+    matrix of the g differences updated one row per step.  Complex states
+    are read as real vectors, so every inner product is Re<a, b>."""
+
+    def __init__(self, like: np.ndarray):
+        size = _real(like).size
+        self.d_image = np.empty((AA_MEMORY, size))
+        self.d_residual = np.empty((AA_MEMORY, size))
+        self.gram = np.empty((AA_MEMORY, AA_MEMORY))
+        self.dtype, self.shape = like.dtype, like.shape
+        self.count = self.slot = 0
+
+    def clear(self) -> None:
+        self.count = self.slot = 0
+
+    def push(self, new: _Step, old: _Step) -> None:
+        k = self.slot
+        np.subtract(_real(new.image), _real(old.image), out=self.d_image[k])
+        np.subtract(_real(new.residual), _real(old.residual), out=self.d_residual[k])
+        self.count = min(self.count + 1, AA_MEMORY)
+        self.slot = (k + 1) % AA_MEMORY
+        row = self.d_residual[: self.count] @ self.d_residual[k]
+        self.gram[k, : self.count] = self.gram[: self.count, k] = row
+
+    def extrapolate(self, cur: _Step) -> np.ndarray:
+        """T(z) - dT gamma, with gamma the regularized least-squares fit
+        min ||g - dg gamma|| solved on the Gram matrix."""
+        m = self.count
+        gram = self.gram[:m, :m]
+        reg = AA_REGULARIZATION * np.trace(gram) + np.finfo(float).tiny
+        gamma = np.linalg.solve(gram + reg * np.eye(m), self.d_residual[:m] @ _real(cur.residual))
+        z = _real(cur.image) - gamma @ self.d_image[:m]
+        return z.view(self.dtype).reshape(self.shape)
+
+
 def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
-    iterate, X = Y at the optimum.  The loop runs on plain arrays in the
-    given coordinates, whose structure was checked when the model was
-    built; its final X is mapped back by U (.) U^H once, after the loop."""
+    iterate, X = Y at the optimum, accelerated by safeguarded Anderson
+    acceleration.
+
+    One map evaluation takes z = (Y, u/beta) to T(z) with one prox, so one
+    eigh.  From the last AA_MEMORY steps an extrapolated point is fitted; it
+    is kept only when its residual ||T(z) - z|| is below the current one,
+    else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
+    ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
+    and clears the history.  `iterations` counts map evaluations, rejected
+    extrapolations included, and max_iter caps them.  The loop runs on plain
+    arrays in the given coordinates, whose structure was checked when the
+    model was built; its final X is mapped back by U (.) U^H once, after the
+    loop, and the final multiplier u stays in the loop's coordinates."""
     c, project = coords.c, coords.project
     proj_identity = project(np.eye(len(c), dtype=c.dtype))
     proj_identity_trace = float(np.trace(proj_identity).real)
@@ -175,38 +248,75 @@ def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
         return w + shift * proj_identity
 
     beta = max(coords.c_norm, 1e-12)
-    x = project_affine(np.zeros_like(c))
-    y = x.copy()
-    u = np.zeros_like(c)
-    primal = dual = math.inf
-    it = 0
-    stop = "max_iter"
-    for it in range(1, opts.max_iter + 1):
-        x = project_affine(y + (c - u) / beta)
+    evaluations = 0
+
+    def step(z: np.ndarray) -> _Step:
+        nonlocal evaluations
+        evaluations += 1
+        y, w = z
+        x = project_affine(y + c / beta - w)
         x_relaxed = OVER_RELAX * x + (1.0 - OVER_RELAX) * y
-        y_new = prox(x_relaxed + u / beta, beta)
-        dual = beta * float(np.linalg.norm(y_new - y))
-        y = y_new
-        u = u + beta * (x_relaxed - y)
-        primal = float(np.linalg.norm(x - y))
-        if max(primal, dual) <= opts.tol:
+        image = np.empty_like(z)
+        image[0] = prox(x_relaxed + w, beta)
+        image[1] = w + x_relaxed - image[0]
+        g = image - z
+        return _Step(
+            x, image, g, float(np.linalg.norm(g)), float(np.linalg.norm(x - image[0])),
+            beta * float(np.linalg.norm(g[0])),
+        )
+
+    cur = step(np.stack([project_affine(np.zeros_like(c)), np.zeros_like(c)]))
+    history = _Anderson(cur.image)
+    passes = pause = skip = 0
+    while True:
+        if max(cur.primal, cur.dual) <= opts.tol:
             stop = "tol"
             break
-        if not (math.isfinite(primal) and math.isfinite(dual)):
+        if not (math.isfinite(cur.primal) and math.isfinite(cur.dual)):
             stop = "non-finite"
             break
-        if it % ADAPT_EVERY == 0:
-            if primal > ADAPT_RATIO * dual:
-                beta *= 2.0
-            elif dual > ADAPT_RATIO * primal:
-                beta /= 2.0
+        if float(np.linalg.norm(cur.image[0])) > DIVERGED_NORM:
+            stop = "diverged"
+            break
+        if evaluations >= opts.max_iter:
+            stop = "max_iter"
+            break
+        passes += 1
+        factor = 1.0
+        if passes % ADAPT_EVERY == 0:
+            if cur.primal > ADAPT_RATIO * cur.dual:
+                factor = 2.0
+            elif cur.dual > ADAPT_RATIO * cur.primal:
+                factor = 0.5
+        nxt = None
+        if factor != 1.0:
+            beta *= factor
+            cur.image[1] /= factor  # the multiplier u = beta (u / beta) carries over
+            history.clear()
+        elif skip:
+            skip -= 1
+        elif history.count:
+            trial = step(history.extrapolate(cur))
+            if trial.residual_norm < (1.0 - AA_MIN_DECREASE) * cur.residual_norm:
+                nxt, pause = trial, 0
+            else:
+                pause = skip = min(2 * pause or 1, AA_MAX_PAUSE)
+        if nxt is None:
+            if evaluations >= opts.max_iter:
+                stop = "max_iter"
+                break
+            nxt = step(cur.image)
+        if factor == 1.0:
+            history.push(nxt, cur)
+        cur = nxt
+    x = cur.x
     lin = float(np.vdot(c, x).real)
     if coords.u is not None:
         x = coords.u @ x @ coords.u.conj().T
     return SolveReport(
-        X=x, objective=lin, linear_objective=lin, primal_residual=primal,
-        dual_residual=dual, iterations=it, converged=stop == "tol",
-        stop_reason=stop, beta_final=beta,
+        X=x, objective=lin, linear_objective=lin, primal_residual=cur.primal,
+        dual_residual=cur.dual, iterations=evaluations, converged=stop == "tol",
+        stop_reason=stop, beta_final=beta, multiplier=beta * cur.image[1],
     )
 
 
@@ -240,20 +350,29 @@ def solve_nuclear(
 
 
 def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
-    """Attach the rank-one certificate and, when it holds, the eigenpair.
+    """Attach the rank-one certificate and, when it holds, the eigenpair and
+    its optimality gap.
 
-    One eigendecomposition of X serves the certificate, the extraction and,
-    for the nuclear model, the penalized objective <C, X> - rho ||X||_*.
+    One eigendecomposition serves the certificate, the extraction and, for
+    the nuclear model, the penalized objective <C, X> - rho ||X||_*.  At
+    d = 2 it is of the real matrix Y = U^H X U, and the top eigenvector is
+    mapped back through U.
     """
     t = model.tensor
-    eig = herm_eig(report.X)
+    frame = model.coordinates.u
+    if frame is None:
+        eig = herm_eig(report.X)
+    else:
+        eig = herm_eig((frame.conj().T @ report.X @ frame).real)
     if report.model == "nuclear":
         nuc = float(np.abs(eig.eigenvalues).sum())
         report.objective = report.linear_objective - report.rho * nuc
     report.rank_one_ratio = math.inf
     try:
         report.rank_one_ratio = eig.modulus_ratio()
-        vec, _ = rs._extract_from_eig(report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL)
+        vec, _ = rs._extract_from_eig(
+            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, frame
+        )
     except (ZeroMatrix, NotRankOne, NotInSubspace):
         return report
     value = tz.conj_form_eval(t, vec)
@@ -262,7 +381,29 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     report.eigenpair = pair
     report.eigen_res = res
     report.certified = bool(res <= EIG_TOL and abs(value.imag) <= EIG_TOL)
+    if report.certified and report.multiplier is not None:
+        bound = dual_bound(model.coordinates, report.multiplier)
+        report.optimality_gap = (bound - pair.value) / max(abs(pair.value), 1e-300)
     return report
+
+
+def dual_bound(coords: Coordinates, u: np.ndarray) -> float:
+    """An upper bound on <C, X> over the SDP's feasible set, hence on the
+    largest C-eigenvalue, from an ADMM multiplier u.
+
+    W = -(u - P(u)) - t (I - P(I)), with P the projection onto M_pi(CPS) and
+    t = <C - u, P(I)> / ||P(I)||^2, is orthogonal to M_pi(CPS).  So every
+    feasible X (in the subspace, PSD, trace one) has
+    <C, X> = <C - W, X> <= lambda_max(C - W).  At the ADMM fixed point
+    C - u = W + t I, and the bound is tight.  Everything is unitarily
+    invariant, so it is computed in the loop's coordinates.
+    """
+    project = coords.project
+    eye = np.eye(len(coords.c), dtype=coords.c.dtype)
+    p_eye = project(eye)
+    t = float(np.vdot(p_eye, coords.c - u).real) / float(np.vdot(p_eye, p_eye).real)
+    w = project(u) - u - t * (eye - p_eye)
+    return float(np.linalg.eigvalsh(coords.c - w)[-1])
 
 
 def eigen_residual(t: DenseTensor, pair: EigenPair) -> float:

@@ -272,10 +272,17 @@ def extract_rank_one_vector(
 
 
 def _extract_from_eig(
-    x: np.ndarray, eig: HermEigen, pi: tuple[int, ...], n: int, d: int, tol: float
+    x: np.ndarray,
+    eig: HermEigen,
+    pi: tuple[int, ...],
+    n: int,
+    d: int,
+    tol: float,
+    frame: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """extract_rank_one_vector given herm_eig(x) and a validated pi, for
-    callers that already hold the eigendecomposition."""
+    """extract_rank_one_vector given a validated pi and the eigendecomposition
+    of x, for callers that already hold it: herm_eig(x), or, with a unitary
+    frame U, herm_eig(U^H x U), whose top eigenvector U maps back."""
     ratio = eig.modulus_ratio()
     if ratio > tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
@@ -285,6 +292,8 @@ def _extract_from_eig(
 
     top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
     u = eig.eigenvectors[:, top_idx]
+    if frame is not None:
+        u = frame @ u
     factor = u.reshape(n, -1)  # mode-1 unfolding of the order-d pattern tensor
     _, _, vh = np.linalg.svd(factor.conj().T, full_matrices=False)
     f1 = np.conj(vh[0])  # top left singular vector of the unfolding

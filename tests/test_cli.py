@@ -124,6 +124,19 @@ class TestRank1:
         main(["rank1", rank_one_file, "--max-iter", "3"])
         assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iter"
 
+    def test_diverged_exits_4(self, tmp_path, capsys):
+        # rho far below ||C||_2 leaves the nuclear model unbounded
+        path = tmp_path / "t.json"
+        tz.save_tensor(ap.random_cps(4, 8000), path)
+        assert main(["rank1", str(path), "--model", "nuclear", "--rho", "0.25"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stop_reason"] == "diverged"
+        assert payload["certified"] is False
+
+    def test_optimality_gap(self, rank_one_file, capsys):
+        assert main(["rank1", rank_one_file]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["optimality_gap"]) <= 1e-9
+
     def test_bad_permutation_exit(self, gap_file):
         assert main(["rank1", gap_file, "--pi", "1,2,3,4"]) == 3
 
