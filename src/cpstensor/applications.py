@@ -264,10 +264,8 @@ def scenario_to_config(scenario: RadarScenario, s0_seed: int = 0) -> dict:
     }
 
 
-def scenario_from_config(cfg: dict, s0_seed: int | None = None) -> RadarScenario:
-    """Build a scenario from the JSON config {n, m, rho, patches, s0_seed};
-    an explicit s0_seed overrides the one in the file (instance batching)."""
-    seed = int(cfg.get("s0_seed", 0)) if s0_seed is None else int(s0_seed)
+def scenario_from_config(cfg: dict) -> RadarScenario:
+    """Build a scenario from the JSON config {n, m, rho, patches, s0_seed}."""
     patches = tuple(
         ClutterPatch(int(p["r"]), tuple(int(f) for f in p["delta"]), float(p["sigma2"]))
         for p in cfg["patches"]
@@ -278,7 +276,7 @@ def scenario_from_config(cfg: dict, s0_seed: int | None = None) -> RadarScenario
         m=int(cfg["m"]),
         rho=float(cfg["rho"]),
         patches=patches,
-        s0=reference_code(n, seed),
+        s0=reference_code(n, int(cfg.get("s0_seed", 0))),
     )
 
 

@@ -31,18 +31,7 @@ from . import decompose as dc
 from . import rank_one as r1
 from . import reshaping as rs
 from . import tensor as tz
-from .errors import (
-    BadPermutation,
-    CpsTensorError,
-    NotCps,
-    NotPartialSymmetric,
-    NotSymmetric,
-    OddOrder,
-    ParseError,
-    RangeError,
-    SizeMismatch,
-    Uncertified,
-)
+from .errors import CpsTensorError, InputError, ParseError, Uncertified
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 2
@@ -78,6 +67,8 @@ def _check_numeric_flags(args) -> None:
         ("--eps", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
         ("--instances", "at least 1", lambda v: v >= 1),
         ("--jobs", "at least 1", lambda v: v >= 1),
+        ("--seed", "at least 0", lambda v: v >= 0),
+        ("--retries", "at least 0", lambda v: v >= 0),
     )
     for flag, domain, ok in domains:
         value = getattr(args, flag[2:].replace("-", "_"), None)
@@ -408,17 +399,7 @@ def main(argv=None) -> int:
     try:
         _check_numeric_flags(args)
         return args.func(args)
-    except (
-        ParseError,
-        NotCps,
-        NotPartialSymmetric,
-        NotSymmetric,
-        OddOrder,
-        SizeMismatch,
-        BadPermutation,
-        RangeError,
-        FileNotFoundError,
-    ) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
     except Uncertified as exc:

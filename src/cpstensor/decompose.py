@@ -35,7 +35,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    DegenerateNodes,
     NonHermitianInput,
     NonSymmetricEigenvector,
     NotCps,
@@ -59,6 +58,7 @@ MAX_SYM_RANK = 6  # Hilbert expansion is exponential in the symmetric rank
 MAX_DESIGN_TERMS = 1296  # N^2: n <= 8 at d = 2, n <= 5 at d = 3
 DESIGN_SEED = 0
 PRUNE_REL = 1e-12
+TAKAGI_REL = 1e-12  # con-eigenvalues kept by takagi, relative to the largest
 
 
 def hilbert_nodes(d: int) -> np.ndarray:
@@ -77,11 +77,11 @@ def hilbert_nodes_even(d: int) -> np.ndarray:
     return np.arange(1, d + 2, dtype=float)
 
 
-def vandermonde_power_solution(d: int, nodes=None) -> tuple[np.ndarray, np.ndarray]:
+def vandermonde_power_solution(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve sum_j a_j^k z_j = gamma_k for k = 0..2d with gamma_0 = 1,
-    gamma_d = sqrt(d!), gamma_{2d} = d! and zeros elsewhere."""
-    nodes = hilbert_nodes(d) if nodes is None else np.asarray(nodes, dtype=float)
-    _check_nodes(nodes)
+    gamma_d = sqrt(d!), gamma_{2d} = d! and zeros elsewhere, on the nodes
+    a_j = hilbert_nodes(d)."""
+    nodes = hilbert_nodes(d)
     a = np.array([[x**k for x in nodes] for k in range(2 * d + 1)], dtype=float)
     rhs = np.zeros(2 * d + 1)
     rhs[0] = 1.0
@@ -91,24 +91,17 @@ def vandermonde_power_solution(d: int, nodes=None) -> tuple[np.ndarray, np.ndarr
     return nodes, np.real(z)
 
 
-def vandermonde_square_solution(d: int, nodes=None) -> tuple[np.ndarray, np.ndarray]:
+def vandermonde_square_solution(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve sum_j b_j^{2k} y_j = delta_k for k = 0..d with
-    delta_0 = delta_{d/2} = 1 and zeros elsewhere (even d only)."""
-    nodes = hilbert_nodes_even(d) if nodes is None else np.asarray(nodes, dtype=float)
-    _check_nodes(nodes**2)
+    delta_0 = delta_{d/2} = 1 and zeros elsewhere (even d only), on the nodes
+    b_j = hilbert_nodes_even(d)."""
+    nodes = hilbert_nodes_even(d)
     a = np.array([[x ** (2 * k) for x in nodes] for k in range(d + 1)], dtype=float)
     rhs = np.zeros(d + 1)
     rhs[0] = 1.0
     rhs[d // 2] = 1.0
     y = solve_linear(a, rhs)
     return nodes, np.real(y)
-
-
-def _check_nodes(values: np.ndarray) -> None:
-    if np.any(values == 0.0):
-        raise DegenerateNodes("nodes must be nonzero")
-    if len(np.unique(values)) != len(values):
-        raise DegenerateNodes("nodes must be distinct")
 
 
 def hilbert_terms(a: np.ndarray, d: int) -> list[CpsTerm]:
@@ -147,12 +140,13 @@ def hilbert_terms(a: np.ndarray, d: int) -> list[CpsTerm]:
     return merge_terms(terms, d)
 
 
-def merge_terms(terms, d: int, drop_below: float = 0.0) -> list[CpsTerm]:
+def merge_terms(terms, d: int) -> list[CpsTerm]:
     """Fold terms with (phase/scale) parallel vectors into single terms.
 
     Each term is canonicalized to a unit vector whose largest-modulus entry is
     real positive; |scale|^{2d} moves into the coefficient.  Summation order
-    is fixed by the canonical keys, so merging is deterministic.
+    is fixed by the canonical keys, so merging is deterministic.  Terms whose
+    merged coefficient is exactly zero are dropped.
     """
     buckets: dict[bytes, tuple[np.ndarray, float]] = {}
     order: list[bytes] = []
@@ -173,7 +167,7 @@ def merge_terms(terms, d: int, drop_below: float = 0.0) -> list[CpsTerm]:
     out = []
     for key in order:
         vec, lam = buckets[key]
-        if abs(lam) > drop_below:
+        if abs(lam) > 0.0:
             out.append(CpsTerm(lam, vec))
     return out
 
@@ -203,12 +197,13 @@ def spectral_split(t: DenseTensor) -> list[tuple[int, DenseTensor]]:
     return out
 
 
-def takagi(z: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def takagi(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric matrix as Z = sum_k s_k u_k u_k^T.
 
     Uses the real symmetric embedding [[Re, Im], [Im, -Re]], whose eigenpairs
     (s, [x; y]) with s > 0 give con-eigenvectors u = x + iy of Z.  Returns
-    (sigma, U) with positive sigma descending and orthonormal columns U.
+    (sigma, U) with sigma descending and above TAKAGI_REL times the largest
+    eigenvalue modulus, and orthonormal columns U.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[0]
@@ -216,7 +211,7 @@ def takagi(z: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     re, im = z.real, z.imag
     big = np.block([[re, im], [im, -re]])
     w, v = np.linalg.eigh(big)
-    keep = w > max(tol * np.abs(w).max(initial=0.0), 1e-300)
+    keep = w > max(TAKAGI_REL * np.abs(w).max(initial=0.0), 1e-300)
     sig = w[keep][::-1]
     vecs = v[:, keep][:, ::-1]
     u = vecs[:n, :] + 1j * vecs[n:, :]

@@ -5,7 +5,11 @@ class CpsTensorError(Exception):
     """Base class for all package errors."""
 
 
-class SizeMismatch(CpsTensorError):
+class InputError(CpsTensorError):
+    """Base class for malformed or out-of-range input; the CLI exits 3."""
+
+
+class SizeMismatch(InputError):
     pass
 
 
@@ -13,23 +17,19 @@ class IndexOutOfRange(CpsTensorError):
     pass
 
 
-class OddOrder(CpsTensorError):
+class OddOrder(InputError):
     pass
 
 
-class OrderMismatch(CpsTensorError):
+class NotSymmetric(InputError):
     pass
 
 
-class NotSymmetric(CpsTensorError):
+class NotPartialSymmetric(InputError):
     pass
 
 
-class NotPartialSymmetric(CpsTensorError):
-    pass
-
-
-class NotCps(CpsTensorError):
+class NotCps(InputError):
     pass
 
 
@@ -49,7 +49,7 @@ class ZeroMatrix(CpsTensorError):
     pass
 
 
-class BadPermutation(CpsTensorError):
+class BadPermutation(InputError):
     pass
 
 
@@ -58,10 +58,6 @@ class NotRankOne(CpsTensorError):
 
 
 class NotInSubspace(CpsTensorError):
-    pass
-
-
-class DegenerateNodes(CpsTensorError):
     pass
 
 
@@ -89,9 +85,9 @@ class Uncertified(CpsTensorError):
     pass
 
 
-class ParseError(CpsTensorError):
+class ParseError(InputError):
     pass
 
 
-class RangeError(CpsTensorError):
+class RangeError(InputError):
     pass

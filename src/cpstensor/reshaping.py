@@ -17,7 +17,6 @@ from .errors import (
     BadPermutation,
     NotInSubspace,
     NotRankOne,
-    OrderMismatch,
     SizeMismatch,
 )
 from .linalg import HermEigen, herm_eig
@@ -45,8 +44,6 @@ def parse_permutation(text: str) -> tuple[int, ...]:
 
 def pi_transpose(t: DenseTensor, pi) -> DenseTensor:
     """Tensor transpose: mode k of the result originates from mode pi_k of t."""
-    if len(tuple(pi)) != t.order:
-        raise OrderMismatch(f"permutation length {len(tuple(pi))} != order {t.order}")
     pi = validate_permutation(pi, t.order)
     axes = [p - 1 for p in pi]
     return DenseTensor(t.n, t.order, np.transpose(t.entries, axes))

@@ -215,7 +215,10 @@ class TestPerturbAndRetry:
         assert [(s, c) for s, c, _ in res.attempts] == [(None, False), (0, True)]
         assert res.attempts[0][2] == pytest.approx(10.0, abs=1e-5)
         assert res.attempts[-1][2] == res.report.objective
-        assert res.value**2 == pytest.approx(res.attempts[-1][2], abs=1e-12)
+        # lambda^2 is the certified eigenpair's value; <C, X> carries the
+        # solver's error and agrees only to about 1e-7
+        assert res.value**2 == pytest.approx(res.report.eigenpair.value, rel=1e-12)
+        assert res.value**2 == pytest.approx(res.report.objective, rel=1e-6)
 
     def test_perturbation_stability(self):
         base = ap.us_eigen(ap.useig_benchmark("a"))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import cpstensor.applications as ap
+import cpstensor.cli as cli
+import cpstensor.errors as errors
 import cpstensor.tensor as tz
 from cpstensor.cli import main
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
@@ -96,6 +98,13 @@ class TestMatricize:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pi"] == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("pi", ["1,2,3", "1,2,3,4,5"])
+    def test_wrong_length_pi_exits_3(self, gap_file, capsys, pi):
+        assert main(["matricize", gap_file, "--pi", pi]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+
 
 class TestRank1:
     def test_gap_objective_sdp(self, gap_file, capsys):
@@ -183,6 +192,10 @@ class TestNumericFlags:
             ["experiment", "random", "--sizes", "1"],
             ["experiment", "radar", "--sizes", "0"],
             ["experiment", "random", "--sizes", "x"],
+            ["--seed", "-1", "useig", "ZFILE", "--retries", "2"],
+            ["experiment", "random", "--sizes", "3", "--instances", "1",
+             "--model", "sdp", "--seed", "-1"],
+            ["useig", "ZFILE", "--retries", "-1"],
         ],
     )
     def test_out_of_range_exits_3(self, cps_file, sym_file, capsys, argv):
@@ -191,6 +204,34 @@ class TestNumericFlags:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ")
+
+
+INPUT_ERRORS = {
+    "ParseError", "NotCps", "NotPartialSymmetric", "NotSymmetric",
+    "OddOrder", "SizeMismatch", "BadPermutation", "RangeError",
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "cls",
+        [c for c in vars(errors).values()
+         if isinstance(c, type) and issubclass(c, errors.CpsTensorError)
+         and c not in (errors.CpsTensorError, errors.InputError)],
+        ids=lambda c: c.__name__,
+    )
+    def test_exit_3_exactly_for_input_errors(self, gap_file, capsys, monkeypatch, cls):
+        def fail(args):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "cmd_validate", fail)
+        if cls.__name__ in INPUT_ERRORS:
+            expected = 3
+        else:
+            expected = 2 if cls is errors.Uncertified else 4
+        assert main(["validate", gap_file]) == expected
+        assert capsys.readouterr().err == "error: injected\n"
+        assert issubclass(cls, errors.InputError) == (expected == 3)
 
 
 class TestUseig:

@@ -7,7 +7,6 @@ import pytest
 import cpstensor.decompose as dc
 import cpstensor.tensor as tz
 from cpstensor.errors import (
-    DegenerateNodes,
     NotCps,
     NotSymmetric,
     ResidualTooLarge,
@@ -134,12 +133,6 @@ class TestVandermonde:
             rhs = np.zeros(d + 1)
             rhs[0] = rhs[d // 2] = 1.0
             assert np.linalg.norm(a @ y - rhs) <= 1e-9
-
-    def test_degenerate_nodes(self):
-        with pytest.raises(DegenerateNodes):
-            dc.vandermonde_power_solution(2, nodes=[1.0, 1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(DegenerateNodes):
-            dc.vandermonde_square_solution(2, nodes=[1.0, -1.0, 2.0])
 
 
 def hilbert_identity_error(a, d, n_samples=100, seed=0):
