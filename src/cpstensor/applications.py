@@ -68,13 +68,11 @@ class RadarScenario:
     m: int
     rho: float
     patches: tuple[ClutterPatch, ...]
-    s0: np.ndarray
+    s0_seed: int
+    s0: np.ndarray = field(init=False, repr=False, compare=False)  # reference_code(n, s0_seed)
 
     def __post_init__(self):
-        s0 = np.ascontiguousarray(self.s0, dtype=complex)
-        if s0.shape != (self.n,):
-            raise SizeMismatch("reference code length must equal n")
-        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "s0", reference_code(self.n, self.s0_seed))
         for p in self.patches:
             if not 0 <= p.range_bin <= self.n - 1:
                 raise RangeError(f"range bin {p.range_bin} outside 0..{self.n - 1}")
@@ -97,7 +95,7 @@ def default_scenario(n: int, rho: float = 30.0, s0_seed: int = 0) -> RadarScenar
         ClutterPatch(0, tuple(range(1, half + 1)), 1.0),
         ClutterPatch(1, tuple(range(half + 1, m + 1)), 1.0),
     )
-    return RadarScenario(n=n, m=m, rho=rho, patches=patches, s0=reference_code(n, s0_seed))
+    return RadarScenario(n=n, m=m, rho=rho, patches=patches, s0_seed=s0_seed)
 
 
 def clutter_weight(scenario: RadarScenario, r: int, j: int) -> float:
@@ -251,7 +249,8 @@ def _first_certified(
     raise Uncertified(f"no certified rank-one solution in {len(log)} attempts")
 
 
-def scenario_to_config(scenario: RadarScenario, s0_seed: int = 0) -> dict:
+def scenario_to_config(scenario: RadarScenario) -> dict:
+    """The JSON config of a scenario; scenario_from_config inverts it."""
     return {
         "n": scenario.n,
         "m": scenario.m,
@@ -260,7 +259,7 @@ def scenario_to_config(scenario: RadarScenario, s0_seed: int = 0) -> dict:
             {"r": p.range_bin, "delta": list(p.freqs), "sigma2": p.power}
             for p in scenario.patches
         ],
-        "s0_seed": s0_seed,
+        "s0_seed": scenario.s0_seed,
     }
 
 
@@ -276,7 +275,7 @@ def scenario_from_config(cfg: dict) -> RadarScenario:
         m=int(cfg["m"]),
         rho=float(cfg["rho"]),
         patches=patches,
-        s0=reference_code(n, int(cfg.get("s0_seed", 0))),
+        s0_seed=int(cfg.get("s0_seed", 0)),
     )
 
 

@@ -207,7 +207,7 @@ def _solve_instance(task) -> dict:
                 if scenario is None:
                     scenario = ap.default_scenario(size, s0_seed=seed)
                 else:
-                    scenario = dataclasses.replace(scenario, s0=ap.reference_code(size, seed))
+                    scenario = dataclasses.replace(scenario, s0_seed=seed)
                 radar = ap.radar_tensor(scenario)
                 t, sign = tz.DenseTensor(radar.n, radar.order, -radar.entries), -1.0
             report = _solve(r1.build_matrix_model(t), method, rho, opts)

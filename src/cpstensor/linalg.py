@@ -1,5 +1,13 @@
 """Dense complex linear-algebra kernel used by every other module.
 
+Every Hermitian eigenproblem of the solve and certificate path runs through
+one kernel, ``_eigh``, which calls LAPACK's ``?syevr`` / ``?heevr`` directly
+(``scipy.linalg.eigh``'s argument checks cost more than the call itself at
+N = 16) and computes only the eigenpairs asked for: ``herm_eig`` all of them,
+the PSD projection those with w > 0, the soft threshold by tau those with
+w > tau unless a Cholesky factorization of H + tau I fails, and the dual
+bound in ``rank_one`` the largest eigenvalue alone.
+
 All functions are pure, operate on plain ``complex128`` numpy arrays (real
 ``float64`` input to the Hermitian routines stays real) and keep no shared
 state, so they are safe to call concurrently.
@@ -7,11 +15,13 @@ state, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import NoConvergence, NonHermitianInput, SingularMatrix, ZeroMatrix
 
@@ -20,6 +30,9 @@ TOL_PIVOT = 1e-12
 
 # absolute floor so zero matrices pass relative structure checks
 ABS_FLOOR = 1e-12
+
+_EVR = {np.dtype(np.float64): lapack.dsyevr, np.dtype(np.complex128): lapack.zheevr}
+_POTRF = {np.dtype(np.float64): lapack.dpotrf, np.dtype(np.complex128): lapack.zpotrf}
 
 
 @dataclass(frozen=True)
@@ -52,27 +65,47 @@ def require_hermitian(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
+def _eigh(
+    h: np.ndarray, select: str = "A", vectors: bool = True, **bounds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of a Hermitian float64 or complex128 matrix h, w
+    ascending, by LAPACK's ?syevr / ?heevr on the lower triangle of h, which
+    it overwrites: all of them for select "A" (by MRRR), those with
+    vl < w <= vu for "V" and the il-th to iu-th (1-based) for "I" (by
+    bisection and inverse iteration; only the vectors asked for are mapped
+    back from tridiagonal form).  V is empty without vectors.  A non-finite
+    h, which LAPACK's bisection rejects, gives NaN, as numpy's eigh does."""
+    if not np.isfinite(h).all():
+        return np.full(len(h), np.nan), np.full((len(h), len(h)), np.nan, dtype=h.dtype)
+    w, v, m, _, info = _EVR[h.dtype](
+        h, compute_v=vectors, range=select, lower=1, overwrite_a=1, **bounds
+    )
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(f"?syevr / ?heevr returned info={info}")
+    return w[:m], v[:, :m]
+
+
 def herm_eig(x: np.ndarray) -> HermEigen:
     """Full spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    xh = require_hermitian(x)
-    try:
-        w, v = np.linalg.eigh(xh)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    return HermEigen(eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = _eigh(require_hermitian(x))
+    return HermEigen(eigenvalues=w[::-1], eigenvectors=v[:, ::-1])
 
 
 def _spectral_prox(x: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """Prox on the eigenvalues w of the Hermitian part of x, unchecked: the
-    PSD projection max(w, 0) without tau, else the soft threshold by tau."""
-    try:
-        w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    """Prox on the eigenvalues w of the Hermitian part H of x, unchecked: the
+    PSD projection max(w, 0) without tau, else the soft threshold by tau.
+
+    Only the eigenpairs the prox keeps are computed: w > 0, or w > tau when
+    a Cholesky factorization shows H + tau I positive definite, so that no
+    w lies at or below -tau; otherwise all of them."""
+    h = 0.5 * (x + x.conj().T)
     if tau is None:
-        w = np.maximum(w, 0.0)
+        w, v = _eigh(h, "V", vl=0.0, vu=math.inf)
     else:
+        shifted = h.copy()
+        shifted.flat[:: len(h) + 1] += tau
+        _, info = _POTRF[h.dtype](shifted, lower=1, clean=0, overwrite_a=1)
+        w, v = _eigh(h, "V", vl=tau, vu=math.inf) if info == 0 else _eigh(h)
         w = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
     return (v * w) @ v.conj().T
 

@@ -18,6 +18,7 @@ certified iterates yield an eigenpair of the original tensor.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -36,8 +37,10 @@ from .errors import (
 )
 from . import reshaping as rs
 from . import tensor as tz
-from .linalg import _spectral_prox, herm_eig
+from .linalg import _eigh, _spectral_prox, herm_eig
 from .tensor import DenseTensor, EigenPair
+
+log = logging.getLogger(__name__)
 
 SOLVER_TOL = 1e-7
 MAX_ITER = 10000
@@ -228,7 +231,8 @@ def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
     acceleration.
 
     One map evaluation takes z = (Y, u/beta) to T(z) with one prox, so one
-    eigh.  From the last AA_MEMORY steps an extrapolated point is fitted; it
+    call of the eigen kernel (and one Cholesky factorization for the nuclear
+    model).  From the last AA_MEMORY steps an extrapolated point is fitted; it
     is kept only when its residual ||T(z) - z|| is below the current one,
     else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
@@ -337,13 +341,19 @@ def solve_nuclear(
     <C, D> - rho ||D||_*, so any rho >= ||C||_2 (the spectral norm) is safe,
     while small weights can make the supremum infinite.  The default is
     rho = ||C||_2; on feasible rank-one points the penalty is the constant
-    rho, so certification and the recovered eigenpair are unaffected.
+    rho, so certification and the recovered eigenpair are unaffected.  A
+    smaller rho is solved as given, with a warning on the package logger.
     """
     opts = opts or SolverOptions()
+    c_norm = model.coordinates.c_norm
     if rho is None:
-        rho = model.coordinates.c_norm
+        rho = c_norm
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if rho < c_norm:
+        log.warning(
+            "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm
+        )
     report = _admm(model.coordinates, lambda w, beta: _spectral_prox(w, rho / beta), opts)
     report.model, report.rho = "nuclear", rho
     return certify_and_recover(report, model)
@@ -403,7 +413,8 @@ def dual_bound(coords: Coordinates, u: np.ndarray) -> float:
     p_eye = project(eye)
     t = float(np.vdot(p_eye, coords.c - u).real) / float(np.vdot(p_eye, p_eye).real)
     w = project(u) - u - t * (eye - p_eye)
-    return float(np.linalg.eigvalsh(coords.c - w)[-1])
+    top, _ = _eigh(coords.c - w, "I", vectors=False, il=len(w), iu=len(w))
+    return float(top[-1])
 
 
 def eigen_residual(t: DenseTensor, pair: EigenPair) -> float:

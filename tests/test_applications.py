@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ class TestRadar:
         scenario = ap.RadarScenario(
             n=4, m=4, rho=0.0,
             patches=(ap.ClutterPatch(0, (1, 2), 1.0),),
-            s0=ap.reference_code(4, 0),
+            s0_seed=0,
         )
         t = ap.radar_tensor(scenario)
         rng = np.random.default_rng(3)
@@ -104,6 +106,13 @@ class TestRadar:
         rng = np.random.default_rng(5)
         for _ in range(50):
             assert val <= ap.radar_objective(scenario, random_unit(5, rng)) + 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9007])
+    def test_config_round_trip(self, seed):
+        scenario = ap.default_scenario(4, rho=12.5, s0_seed=seed)
+        back = ap.scenario_from_config(json.loads(json.dumps(ap.scenario_to_config(scenario))))
+        assert back == scenario
+        assert np.array_equal(back.s0, ap.reference_code(4, seed))
 
     def test_reference_code_unit_modulus(self):
         s0 = ap.reference_code(6, 3)

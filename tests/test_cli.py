@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,24 @@ class TestRank1:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stop_reason"] == "diverged"
         assert payload["certified"] is False
+
+    def test_small_rho_warning_silent_by_default(self, tmp_path):
+        # the package logger has a NullHandler: an application that configures
+        # no logging sees no warning, only the CLI's own error line, and the
+        # exit code stays 4
+        path = tmp_path / "t.json"
+        tz.save_tensor(ap.random_cps(4, 8000), path)
+        code = (
+            "from cpstensor.cli import main; raise SystemExit("
+            f"main(['rank1', {str(path)!r}, '--model', 'nuclear', '--rho', '0.25']))"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 4
+        assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
 
     def test_optimality_gap(self, rank_one_file, capsys):
         assert main(["rank1", rank_one_file]) == 0
@@ -292,7 +313,7 @@ class TestExperiment:
 
     def test_scenario_file(self, tmp_path):
         import cpstensor.applications as apx
-        cfg = apx.scenario_to_config(apx.default_scenario(4, rho=10.0), s0_seed=3)
+        cfg = apx.scenario_to_config(apx.default_scenario(4, rho=10.0, s0_seed=3))
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         code, rows = self._run(
@@ -309,8 +330,9 @@ class TestExperiment:
                         "patches": [{"r": 9, "delta": [1], "sigma2": 1.0}]}),
             json.dumps({"n": 4, "m": 4, "rho": 10.0}),
             '{"n": 4,',
+            json.dumps({"n": 4, "m": 4, "rho": 10.0, "patches": [], "s0_seed": -1}),
         ],
-        ids=["range_bin", "no_patches", "bad_json"],
+        ids=["range_bin", "no_patches", "bad_json", "negative_seed"],
     )
     def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"

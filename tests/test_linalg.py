@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpstensor import linalg
 from cpstensor.errors import NonHermitianInput, SingularMatrix, ZeroMatrix
 from cpstensor.linalg import (
     HermEigen,
@@ -16,6 +17,24 @@ def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (a + a.conj().T)
+
+
+def with_spectrum(w, is_complex, seed):
+    """Q diag(w) Q^H for a random orthogonal (real) or unitary Q."""
+    rng = np.random.default_rng(seed)
+    n = len(w)
+    a = rng.standard_normal((n, n))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
+    return (q * np.asarray(w, dtype=float)) @ q.conj().T
+
+
+def reference_prox(x, tau=None):
+    """The prox from a full np.linalg.eigh of the Hermitian part."""
+    w, v = np.linalg.eigh(0.5 * (x + x.conj().T))
+    w = np.maximum(w, 0.0) if tau is None else np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    return (v * w) @ v.conj().T
 
 
 class TestHermEig:
@@ -146,3 +165,71 @@ class TestTopSingularRatio:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
             top_singular_ratio(np.zeros((3, 3)))
+
+
+class TestSubsetProx:
+    # the prox computes only the eigenpairs it keeps; it must agree with the
+    # full decomposition, whichever subset the kernel is asked for
+    TAU = 0.5
+    SPECTRA = {
+        "all negative": [-3.0, -2.0, -1.0, -0.25, -0.1, -1e-3],
+        "all positive": [3.0, 2.0, 1.0, 0.25, 0.1, 1e-3],
+        "mixed": [2.0, 0.7, 0.1, -0.1, -0.4, -0.45],
+        "below -tau": [2.0, 0.7, 0.1, -0.3, -0.8, -3.0],
+        "at the threshold": [1.0, 0.5, 0.0, -0.2, -0.5, -0.5],
+    }
+
+    @pytest.fixture(autouse=True)
+    def selects(self, monkeypatch):
+        """The subsets requested from the eigen kernel, in call order."""
+        calls = []
+        eigh = linalg._eigh
+
+        def spy(h, select="A", vectors=True, **bounds):
+            calls.append(select)
+            return eigh(h, select, vectors, **bounds)
+
+        monkeypatch.setattr(linalg, "_eigh", spy)
+        return calls
+
+    @staticmethod
+    def inputs(spectrum, is_complex):
+        """The rotated matrix, and the diagonal one whose eigenvalues sit
+        exactly on the given values."""
+        dtype = complex if is_complex else float
+        return [with_spectrum(spectrum, is_complex, 12), np.diag(spectrum).astype(dtype)]
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("name", list(SPECTRA))
+    def test_psd_projection(self, name, is_complex, selects):
+        for x in self.inputs(self.SPECTRA[name], is_complex):
+            ref = reference_prox(x)
+            for out in (linalg._spectral_prox(x), project_psd(x)):
+                assert out.dtype == x.dtype
+                assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+        assert set(selects) == {"V"}
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("name", list(SPECTRA))
+    def test_soft_threshold(self, name, is_complex, selects):
+        for x in self.inputs(self.SPECTRA[name], is_complex):
+            ref = reference_prox(x, self.TAU)
+            for out in (linalg._spectral_prox(x, self.TAU), eig_soft_threshold(x, self.TAU)):
+                assert out.dtype == x.dtype
+                assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+        # all eigenpairs only when some eigenvalue lies below -tau, where the
+        # Cholesky factorization of H + tau I fails; at -tau itself either
+        low = min(self.SPECTRA[name])
+        if low != -self.TAU:
+            assert set(selects) == {"A" if low < -self.TAU else "V"}
+
+    def test_empty_kept_set_is_zero(self):
+        x = with_spectrum(self.SPECTRA["all negative"], True, 13)
+        assert np.array_equal(project_psd(x), np.zeros_like(x))
+        assert np.array_equal(eig_soft_threshold(0.1 * x, self.TAU), np.zeros_like(x))
+
+    def test_non_finite_input_gives_nan(self):
+        x = np.eye(4)
+        x[1, 2] = x[2, 1] = np.nan
+        assert np.isnan(linalg._spectral_prox(x)).all()
+        assert np.isnan(linalg._spectral_prox(x, self.TAU)).all()

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,18 @@ class TestDivergence:
         assert report.iterations < 1000
         assert np.linalg.norm(report.X) > r1.DIVERGED_NORM / 10
 
+    def test_small_rho_warns(self, caplog):
+        model = r1.build_matrix_model(ap.random_cps(4, 8000))
+        c_norm = model.coordinates.c_norm
+        with caplog.at_level(logging.WARNING, logger="cpstensor"):
+            r1.solve_nuclear(model, rho=c_norm, opts=FAST)
+            assert not caplog.records
+            report = r1.solve_nuclear(model, rho=0.05 * c_norm)
+        assert report.stop_reason == "diverged"
+        [record] = caplog.records
+        assert record.name == "cpstensor.rank_one" and record.levelno == logging.WARNING
+        assert "below ||C||_2" in record.getMessage()
+
     def test_bounded_penalty_unaffected(self):
         # TestSolveNuclear's rho = 1.25 case sits just above the bound lam / 2
         rng = np.random.default_rng(9)
@@ -247,7 +261,8 @@ class TestOptimalityGap:
 class TestSpectralCalls:
     def test_one_norm_and_one_eigendecomposition(self, monkeypatch):
         # ||C||_2 once per model; ||X||_* from the certificate's herm_eig; one
-        # eigvalsh per certified solve, for the dual bound of the optimality gap
+        # top-eigenvalue call of the eigen kernel per certified solve, for the
+        # dual bound of the optimality gap
         model = r1.build_matrix_model(random_cps_tensor(4, 27))
         big = model.size
         calls = []
@@ -261,33 +276,49 @@ class TestSpectralCalls:
 
             return wrapper
 
+        eigh = r1._eigh
+
+        def kernel(h, select="A", vectors=True, **bounds):
+            top = select == "I" and bounds == {"il": len(h), "iu": len(h)} and not vectors
+            calls.append("top eigenvalue" if top else f"eigh {select}")
+            return eigh(h, select, vectors, **bounds)
+
         monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd, True))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(r1, "_eigh", kernel)
         herm_eig = counted("herm_eig", r1.herm_eig)
         monkeypatch.setattr(r1, "herm_eig", herm_eig)
         monkeypatch.setattr(rs, "herm_eig", herm_eig)
         assert r1.solve_nuclear(model, opts=FAST).certified
-        assert sorted(calls) == ["eigvalsh", "herm_eig", "norm"]
+        assert sorted(calls) == ["herm_eig", "norm", "top eigenvalue"]
         calls.clear()
         assert r1.solve_sdp(model, FAST).certified
-        assert calls == ["herm_eig", "eigvalsh"]
+        assert calls == ["herm_eig", "top eigenvalue"]
 
 
 class TestPinnedIterates:
-    # random n=4 tensors of acceptance criterion 8, default options; map
-    # evaluations of the accelerated loop (the plain loop took 255/257,
+    # random tensors of acceptance criterion 8, default options; map
+    # evaluations of the accelerated loop (at n=4 the plain loop took 255/257,
     # 408/352, 317/282 and 386/390)
+    @staticmethod
+    def check(n, seed, sdp_iters, nuclear_iters):
+        model = r1.build_matrix_model(ap.random_cps(n, seed))
+        sdp = r1.solve_sdp(model)
+        nuclear = r1.solve_nuclear(model)
+        assert (sdp.iterations, nuclear.iterations) == (sdp_iters, nuclear_iters)
+        assert sdp.certified and nuclear.certified
+
     @pytest.mark.parametrize(
         "seed,sdp_iters,nuclear_iters",
         [(8000, 50, 57), (8001, 75, 81), (8002, 58, 55), (8003, 100, 80)],
     )
     def test_iterations(self, seed, sdp_iters, nuclear_iters):
-        model = r1.build_matrix_model(ap.random_cps(4, seed))
-        sdp = r1.solve_sdp(model)
-        nuclear = r1.solve_nuclear(model)
-        assert (sdp.iterations, nuclear.iterations) == (sdp_iters, nuclear_iters)
-        assert sdp.certified and nuclear.certified
+        self.check(4, seed, sdp_iters, nuclear_iters)
+
+    @pytest.mark.parametrize("seed,sdp_iters,nuclear_iters", [(8000, 162, 287), (8001, 134, 135)])
+    def test_iterations_at_n8(self, seed, sdp_iters, nuclear_iters):
+        self.check(8, seed, sdp_iters, nuclear_iters)
 
 
 class TestSolveSdp:
