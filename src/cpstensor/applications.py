@@ -72,12 +72,16 @@ class RadarScenario:
     s0: np.ndarray = field(init=False, repr=False, compare=False)  # reference_code(n, s0_seed)
 
     def __post_init__(self):
+        if not math.isfinite(self.rho):
+            raise RangeError(f"rho must be finite, got {self.rho}")
         object.__setattr__(self, "s0", reference_code(self.n, self.s0_seed))
         for p in self.patches:
             if not 0 <= p.range_bin <= self.n - 1:
                 raise RangeError(f"range bin {p.range_bin} outside 0..{self.n - 1}")
             if any(not 1 <= f <= self.m for f in p.freqs):
                 raise RangeError("frequency index outside 1..m")
+            if not math.isfinite(p.power):
+                raise RangeError(f"patch power must be finite, got {p.power}")
 
 
 def reference_code(n: int, seed: int) -> np.ndarray:
@@ -232,15 +236,14 @@ def _first_certified(
     """Solve the lift of z perturbed by each seed's E in turn (seed None: z
     itself) and return the first certified attempt, logging each one as
     (seed, certified, objective)."""
+    if not 0.0 <= eps < math.inf:
+        raise RangeError(f"eps must be a finite number >= 0, got {eps}")
     log = []
     for s in seeds:
         zp = z
-        if s is not None:
-            if eps < 0:
-                raise ValueError("eps must be nonnegative")
-            if eps != 0.0:
-                e = random_symmetric(z.n, z.order, s)
-                zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
+        if s is not None and eps != 0.0:
+            e = random_symmetric(z.n, z.order, s)
+            zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
         report = r1.solve_sdp(r1.build_matrix_model(us_lift(zp)), opts)
         log.append((s, report.certified, report.objective))
         if report.certified:

@@ -5,8 +5,8 @@ Single-object results are JSON; experiment batches are CSV rows
 (instance_seed, size, method, certified, objective, lambda, eigen_residual,
 iterations, wall_ms) plus a human summary table on stderr.
 
-Exit codes: 0 success/certified, 2 uncertified, 3 input-structure error,
-4 solver failure.
+Exit codes: 0 success/certified, 2 uncertified, 3 input-structure or usage
+error, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -49,45 +49,40 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solver_options(tol=None, max_iter=None) -> r1.SolverOptions:
-    opts = r1.SolverOptions()
-    if tol is not None:
-        opts.tol = tol
-    if max_iter is not None:
-        opts.max_iter = max_iter
-    return opts
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 3 like any other bad input:
+    argparse's own exit status 2 would read as "uncertified"."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
-def _check_numeric_flags(args) -> None:
-    """Reject solver flags outside their domain before any work starts."""
-    domains = (
-        ("--tol", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
-        ("--max-iter", "at least 1", lambda v: v >= 1),
-        ("--rho", "a finite number > 0", lambda v: 0.0 < v < math.inf),
-        ("--eps", "a finite number >= 0", lambda v: 0.0 <= v < math.inf),
-        ("--instances", "at least 1", lambda v: v >= 1),
-        ("--jobs", "at least 1", lambda v: v >= 1),
-        ("--seed", "at least 0", lambda v: v >= 0),
-        ("--retries", "at least 0", lambda v: v >= 0),
-    )
-    for flag, domain, ok in domains:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and not ok(value):
-            raise ParseError(f"{flag} must be {domain}, got {value}")
+def _ranged(cast, domain: str, ok):
+    """An argparse type: the text cast by `cast`, required to satisfy `ok`."""
+
+    def convert(text: str):
+        with contextlib.suppress(ValueError):
+            value = cast(text)
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+
+    return convert
 
 
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ParseError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if min(sizes) < 2:
-        raise ParseError(f"--sizes must all be at least 2, got {text!r}")
-    return sizes
+_NONNEG_FLOAT = _ranged(float, "a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_POSITIVE_FLOAT = _ranged(float, "a finite number > 0", lambda v: 0.0 < v < math.inf)
+_POSITIVE_INT = _ranged(int, "at least 1", lambda v: v >= 1)
+_NONNEG_INT = _ranged(int, "at least 0", lambda v: v >= 0)
+_SIZES = _ranged(
+    lambda text: [int(s) for s in text.split(",")],
+    "comma-separated integers of at least 2",
+    lambda sizes: min(sizes) >= 2,
+)
 
 
 def _load_scenario(path: str) -> ap.RadarScenario:
-    """The radar scenario of a JSON file, checked before any solve."""
+    """The radar scenario of a JSON file; the --scenario type."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ap.scenario_from_config(json.load(fh))
@@ -102,7 +97,7 @@ def _solve(model: r1.MatrixModel, method: str, rho, opts) -> r1.SolveReport:
 
 
 def cmd_validate(args) -> int:
-    t = tz.load_tensor(args.tensor)
+    t = args.tensor
     report = {
         "n": t.n,
         "d": t.order,
@@ -123,7 +118,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    t = tz.load_tensor(args.tensor)
+    t = args.tensor
     terms = dc.cps_decompose(t)
     recon = tz.assemble(terms, t.n, t.half) if terms else tz.zero(t.n, t.order)
     residual = float(np.linalg.norm(recon.entries - t.entries))
@@ -142,8 +137,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_matricize(args) -> int:
-    t = tz.load_tensor(args.tensor)
-    pi = rs.parse_permutation(args.pi) if args.pi else rs.canonical_pi(t.half)
+    t = args.tensor
+    pi = args.pi or rs.canonical_pi(t.half)
     m = rs.matricize_pi(t, pi)
     payload = {
         "pi": list(pi),
@@ -155,10 +150,8 @@ def cmd_matricize(args) -> int:
 
 
 def cmd_rank1(args) -> int:
-    t = tz.load_tensor(args.tensor)
-    pi = rs.parse_permutation(args.pi) if args.pi else None
-    model = r1.build_matrix_model(t, pi)
-    opts = _solver_options(args.tol, args.max_iter)
+    model = r1.build_matrix_model(args.tensor, args.pi)
+    opts = r1.SolverOptions(args.tol, args.max_iter)
     report = _solve(model, args.model, args.rho, opts)
     _emit(json.dumps(report.to_dict()) + "\n", args.output)
     if report.stop_reason == "diverged":
@@ -168,11 +161,10 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_useig(args) -> int:
-    z = tz.load_tensor(args.tensor)
-    opts = _solver_options(args.tol, args.max_iter)
+    opts = r1.SolverOptions(args.tol, args.max_iter)
     try:
         result = ap.us_eigen(
-            z, opts, retries=args.retries, eps=args.eps, seed=args.seed
+            args.tensor, opts, retries=args.retries, eps=args.eps, seed=args.seed
         )
     except Uncertified as exc:
         _emit(json.dumps({"error": str(exc)}) + "\n", args.output)
@@ -191,8 +183,7 @@ def cmd_useig(args) -> int:
 
 def _solve_instance(task) -> dict:
     """One experiment instance; module-level so process pools can pickle it."""
-    kind, size, method, seed, rho, tol, max_iter, scenario = task
-    opts = _solver_options(tol, max_iter)
+    kind, size, method, seed, rho, opts, scenario = task
     t0 = time.perf_counter()
     lam = math.nan
     try:
@@ -252,18 +243,16 @@ def _one_blas_thread_for_children():
 
 
 def cmd_experiment(args) -> int:
-    sizes = _parse_sizes(args.sizes) if args.sizes else None
+    sizes, scenario, instances = args.sizes, args.scenario, args.instances
     methods = ["sdp", "nuclear"] if args.model == "both" else [args.model]
-    scenario = _load_scenario(args.scenario) if args.scenario else None
-    instances = args.instances
+    opts = r1.SolverOptions(args.tol, args.max_iter)
     if args.name == "useig":  # the two bundled benchmarks, one instance each
         sizes, methods, instances = [1, 2], ["sdp"], 1
     elif args.name == "radar" and scenario is not None:
         sizes = [scenario.n]  # the file fixes the code length
     sizes = sizes or ([4, 6, 8] if args.name == "random" else [5])
     tasks = [
-        (args.name, size, method, args.seed + k,
-         args.rho, args.tol, args.max_iter, scenario)
+        (args.name, size, method, args.seed + k, args.rho, opts, scenario)
         for size in sizes
         for method in methods
         for k in range(instances)
@@ -314,60 +303,65 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpstensor",
         description="Conjugate partial-symmetric tensor toolkit",
     )
     parser.add_argument("--output", help="write the result to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel instances")
+    parser.add_argument("--seed", type=_NONNEG_INT, default=0, help="master seed")
+    parser.add_argument(
+        "--tol", type=_NONNEG_FLOAT, default=r1.SOLVER_TOL, help="solver tolerance"
+    )
+    parser.add_argument("--jobs", type=_POSITIVE_INT, default=1, help="parallel instances")
     sub = parser.add_subparsers(dest="command", required=True)
     hide = argparse.SUPPRESS  # subcommand duplicates must not clobber globals
 
     p = sub.add_parser("validate", help="report structure predicates of a tensor file")
-    p.add_argument("tensor")
+    p.add_argument("tensor", type=tz.load_tensor)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("decompose", help="rank-one CPS decomposition")
-    p.add_argument("tensor")
+    p.add_argument("tensor", type=tz.load_tensor)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("matricize", help="pi-matricization of a tensor file")
-    p.add_argument("tensor")
-    p.add_argument("--pi", help="comma-separated permutation, e.g. 1,3,4,2")
+    p.add_argument("tensor", type=tz.load_tensor)
+    p.add_argument(
+        "--pi", type=rs.parse_permutation, help="comma-separated permutation, e.g. 1,3,4,2"
+    )
     p.set_defaults(func=cmd_matricize)
 
     p = sub.add_parser("rank1", help="best rank-one approximation / largest eigenvalue")
-    p.add_argument("tensor")
+    p.add_argument("tensor", type=tz.load_tensor)
     p.add_argument("--model", choices=["sdp", "nuclear"], default="sdp")
-    p.add_argument("--rho", type=float, default=None, help="nuclear penalty weight")
-    p.add_argument("--pi", help="comma-separated permutation")
-    p.add_argument("--tol", type=float, default=hide)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    p.add_argument("--seed", type=int, default=hide)
+    p.add_argument("--rho", type=_POSITIVE_FLOAT, default=None, help="nuclear penalty weight")
+    p.add_argument("--pi", type=rs.parse_permutation, help="comma-separated permutation")
+    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
+    p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
+    p.add_argument("--seed", type=_NONNEG_INT, default=hide)
     p.set_defaults(func=cmd_rank1)
 
     p = sub.add_parser("useig", help="largest US-eigenvalue of a symmetric tensor")
-    p.add_argument("tensor")
-    p.add_argument("--retries", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=hide)
-    p.add_argument("--tol", type=float, default=hide)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p.add_argument("tensor", type=tz.load_tensor)
+    p.add_argument("--retries", type=_NONNEG_INT, default=0)
+    p.add_argument("--eps", type=_NONNEG_FLOAT, default=1e-4)
+    p.add_argument("--seed", type=_NONNEG_INT, default=hide)
+    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
+    p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
     p.set_defaults(func=cmd_useig)
 
     p = sub.add_parser("experiment", help="batch experiments emitting CSV")
     p.add_argument("name", choices=["radar", "random", "useig"])
-    p.add_argument("--sizes", help="comma-separated sizes (random: n list, radar: code lengths)")
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--sizes", type=_SIZES,
+                   help="comma-separated sizes (random: n list, radar: code lengths)")
+    p.add_argument("--instances", type=_POSITIVE_INT, default=20)
     p.add_argument("--model", choices=["sdp", "nuclear", "both"], default="both")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--scenario", help="radar scenario JSON file")
-    p.add_argument("--seed", type=int, default=hide)
-    p.add_argument("--tol", type=float, default=hide)
-    p.add_argument("--jobs", type=int, default=hide)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p.add_argument("--rho", type=_POSITIVE_FLOAT, default=None)
+    p.add_argument("--scenario", type=_load_scenario, help="radar scenario JSON file")
+    p.add_argument("--seed", type=_NONNEG_INT, default=hide)
+    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
+    p.add_argument("--jobs", type=_POSITIVE_INT, default=hide)
+    p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -394,12 +388,11 @@ def _is_negative_number(tok: str) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        _check_numeric_flags(args)
+        args = build_parser().parse_args(_attach_negative_values(argv))
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
     except Uncertified as exc:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import NoConvergence, NonHermitianInput, SingularMatrix, ZeroMatrix
+from .errors import NoConvergence, NonHermitianInput, RangeError, SingularMatrix, ZeroMatrix
 
 TOL_STRUCT = 1e-8
 TOL_PIVOT = 1e-12
@@ -122,7 +122,7 @@ def eig_soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     keeps the sign pattern of the spectrum.
     """
     if tau < 0:
-        raise ValueError("tau must be nonnegative")
+        raise RangeError(f"tau must be nonnegative, got {tau}")
     return _spectral_prox(require_hermitian(x), tau)
 
 

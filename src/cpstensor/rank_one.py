@@ -31,6 +31,7 @@ from .errors import (
     NotInSubspace,
     NotRankOne,
     NotUnit,
+    RangeError,
     SizeMismatch,
     UnsupportedDimension,
     ZeroMatrix,
@@ -348,8 +349,8 @@ def solve_nuclear(
     c_norm = model.coordinates.c_norm
     if rho is None:
         rho = c_norm
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise RangeError(f"rho must be a finite number > 0, got {rho}")
     if rho < c_norm:
         log.warning(
             "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm

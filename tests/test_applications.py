@@ -239,3 +239,14 @@ class TestPerturbAndRetry:
             res = ap.us_eigen(zp)
             # C-eigenvalue continuity: lambda^2 moves at most ~||E||
             assert abs(res.value**2 - base.value**2) <= 10.0 * eps
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    def test_bad_eps_raises_before_any_solve(self, monkeypatch, eps):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking eps")
+
+        monkeypatch.setattr(r1, "solve_sdp", no_solve)
+        with pytest.raises(RangeError):
+            ap.us_eigen(ap.useig_benchmark("a"), retries=3, eps=eps)
+        with pytest.raises(RangeError):
+            ap.perturb_and_retry(ap.useig_benchmark("b"), eps, attempts=2)

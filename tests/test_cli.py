@@ -163,6 +163,18 @@ class TestRank1:
         assert done.returncode == 4
         assert [line[:6] for line in done.stderr.splitlines()] == ["error:"]
 
+    def test_usage_error_process_exits_3(self):
+        # argparse would exit 2, which here means "uncertified"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "cpstensor.cli", "rank1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert [line[:7] for line in done.stderr.splitlines()] == ["error: "]
+
     def test_optimality_gap(self, rank_one_file, capsys):
         assert main(["rank1", rank_one_file]) == 0
         assert abs(json.loads(capsys.readouterr().out)["optimality_gap"]) <= 1e-9
@@ -217,6 +229,11 @@ class TestNumericFlags:
             ["experiment", "random", "--sizes", "3", "--instances", "1",
              "--model", "sdp", "--seed", "-1"],
             ["useig", "ZFILE", "--retries", "-1"],
+            ["rank1"],
+            ["rank1", "FILE", "--model", "foo"],
+            ["--tol", "abc", "rank1", "FILE"],
+            ["rank1", "FILE", "--bogus"],
+            ["experiment", "nope"],
         ],
     )
     def test_out_of_range_exits_3(self, cps_file, sym_file, capsys, argv):
@@ -331,8 +348,14 @@ class TestExperiment:
             json.dumps({"n": 4, "m": 4, "rho": 10.0}),
             '{"n": 4,',
             json.dumps({"n": 4, "m": 4, "rho": 10.0, "patches": [], "s0_seed": -1}),
+            '{"n": 4, "m": 4, "rho": NaN, "patches": []}',
+            '{"n": 4, "m": 4, "rho": Infinity, "patches": []}',
+            '{"n": 4, "m": 4, "rho": 10.0, "patches": [{"r": 0, "delta": [1], "sigma2": NaN}]}',
+            '{"n": 4, "m": 4, "rho": 10.0,'
+            ' "patches": [{"r": 0, "delta": [1], "sigma2": Infinity}]}',
         ],
-        ids=["range_bin", "no_patches", "bad_json", "negative_seed"],
+        ids=["range_bin", "no_patches", "bad_json", "negative_seed",
+             "nan_rho", "infinite_rho", "nan_sigma2", "infinite_sigma2"],
     )
     def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"

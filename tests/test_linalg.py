@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpstensor import linalg
-from cpstensor.errors import NonHermitianInput, SingularMatrix, ZeroMatrix
+from cpstensor.errors import NonHermitianInput, RangeError, SingularMatrix, ZeroMatrix
 from cpstensor.linalg import (
     HermEigen,
     eig_soft_threshold,
@@ -97,6 +97,10 @@ class TestEigSoftThreshold:
     def test_scalar_shrinkage(self):
         out = eig_soft_threshold(np.diag([3.0, -1.0]).astype(complex), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]))
+
+    def test_negative_tau_is_range_error(self):
+        with pytest.raises(RangeError):
+            eig_soft_threshold(random_hermitian(3, 0), -0.1)
 
     def test_prox_inequality_sampled(self):
         # z = prox iff 0.5||z-x||^2 + tau||z||_* minimizes; sample competitors

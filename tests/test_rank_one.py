@@ -7,7 +7,7 @@ import cpstensor.applications as ap
 import cpstensor.rank_one as r1
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
-from cpstensor.errors import BadPermutation, NotCps, NotUnit, UnsupportedDimension
+from cpstensor.errors import BadPermutation, NotCps, NotUnit, RangeError, UnsupportedDimension
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
 
 FAST = r1.SolverOptions()
@@ -380,7 +380,7 @@ class TestSolveNuclear:
         )
 
     def test_rho_must_be_positive(self, gap_tensor):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             r1.solve_nuclear(r1.build_matrix_model(gap_tensor), rho=0.0)
 
 
