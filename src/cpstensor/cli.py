@@ -49,6 +49,22 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(payload, output: str | None, indent: int | None = None) -> None:
+    """Write payload as strict JSON, with null for each NaN or infinite number,
+    which JSON cannot hold."""
+
+    def strict(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(item) for item in value]
+        return value
+
+    _emit(json.dumps(strict(payload), indent=indent, allow_nan=False) + "\n", output)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ParseError, so they exit 3 like any other bad input:
     argparse's own exit status 2 would read as "uncertified"."""
@@ -113,7 +129,7 @@ def cmd_validate(args) -> int:
         if report["ps"]:
             report["hermitian_part_norm"] = tz.hermitian_part(t).norm()
             report["skew_part_norm"] = tz.skew_part(t).norm()
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit_json(report, args.output, indent=2)
     return EXIT_OK
 
 
@@ -130,7 +146,7 @@ def cmd_decompose(args) -> int:
         "residual": residual,
         "term_count": len(terms),
     }
-    _emit(json.dumps(payload) + "\n", args.output)
+    _emit_json(payload, args.output)
     if residual > max(dc.TOL_DECOMP * t.norm(), 1e-12):
         return EXIT_SOLVER
     return EXIT_OK
@@ -145,7 +161,7 @@ def cmd_matricize(args) -> int:
         "size": m.shape[0],
         "matrix": [[[z.real, z.imag] for z in row] for row in m],
     }
-    _emit(json.dumps(payload) + "\n", args.output)
+    _emit_json(payload, args.output)
     return EXIT_OK
 
 
@@ -153,7 +169,7 @@ def cmd_rank1(args) -> int:
     model = r1.build_matrix_model(args.tensor, args.pi)
     opts = r1.SolverOptions(args.tol, args.max_iter)
     report = _solve(model, args.model, args.rho, opts)
-    _emit(json.dumps(report.to_dict()) + "\n", args.output)
+    _emit_json(report.to_dict(), args.output)
     if report.stop_reason == "diverged":
         print("error: the ADMM iterates diverged; the model may be unbounded", file=sys.stderr)
         return EXIT_SOLVER
@@ -167,7 +183,7 @@ def cmd_useig(args) -> int:
             args.tensor, opts, retries=args.retries, eps=args.eps, seed=args.seed
         )
     except Uncertified as exc:
-        _emit(json.dumps({"error": str(exc)}) + "\n", args.output)
+        _emit_json({"error": str(exc)}, args.output)
         return EXIT_UNCERTIFIED
     payload = {
         "lambda": result.value,
@@ -177,7 +193,7 @@ def cmd_useig(args) -> int:
         "attempts": len(result.attempts),
         "iterations": result.report.iterations,
     }
-    _emit(json.dumps(payload) + "\n", args.output)
+    _emit_json(payload, args.output)
     return EXIT_OK
 
 
@@ -366,31 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join "--flag -1e-3" into "--flag=-1e-3".  Every long option here takes
-    one value, and argparse would read a negative number in exponent form as
-    an option, so the value could not reach its range check."""
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(tok):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
-def _is_negative_number(tok: str) -> bool:
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return tok.startswith("-")
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_attach_negative_values(argv))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

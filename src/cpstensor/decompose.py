@@ -47,7 +47,7 @@ from .errors import (
     ZeroMatrix,
 )
 from . import tensor as tz
-from .linalg import herm_eig, solve_linear
+from .linalg import herm_eig
 from .reshaping import _canonical_phase, extract_rank_one_vector, matricize
 from .tensor import CpsTerm, DenseTensor, PsTerm
 
@@ -87,8 +87,7 @@ def vandermonde_power_solution(d: int) -> tuple[np.ndarray, np.ndarray]:
     rhs[0] = 1.0
     rhs[d] = math.sqrt(math.factorial(d))
     rhs[2 * d] = float(math.factorial(d))
-    z = solve_linear(a, rhs)
-    return nodes, np.real(z)
+    return nodes, scipy.linalg.solve(a, rhs)
 
 
 def vandermonde_square_solution(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +99,7 @@ def vandermonde_square_solution(d: int) -> tuple[np.ndarray, np.ndarray]:
     rhs = np.zeros(d + 1)
     rhs[0] = 1.0
     rhs[d // 2] = 1.0
-    y = solve_linear(a, rhs)
-    return nodes, np.real(y)
+    return nodes, scipy.linalg.solve(a, rhs)
 
 
 def hilbert_terms(a: np.ndarray, d: int) -> list[CpsTerm]:

@@ -41,10 +41,6 @@ class NoConvergence(CpsTensorError):
     pass
 
 
-class SingularMatrix(CpsTensorError):
-    pass
-
-
 class ZeroMatrix(CpsTensorError):
     pass
 

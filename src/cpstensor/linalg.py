@@ -16,17 +16,14 @@ state, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import NoConvergence, NonHermitianInput, RangeError, SingularMatrix, ZeroMatrix
+from .errors import NoConvergence, NonHermitianInput, RangeError, ZeroMatrix
 
 TOL_STRUCT = 1e-8
-TOL_PIVOT = 1e-12
 
 # absolute floor so zero matrices pass relative structure checks
 ABS_FLOOR = 1e-12
@@ -124,24 +121,6 @@ def eig_soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise RangeError(f"tau must be nonnegative, got {tau}")
     return _spectral_prox(require_hermitian(x), tau)
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve Ax = b by partial-pivot LU; raise SingularMatrix on tiny pivots."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SingularMatrix(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise SingularMatrix("right-hand side length does not match")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    scale = pivots.max(initial=0.0)
-    if scale == 0.0 or pivots.min() < TOL_PIVOT * scale:
-        raise SingularMatrix("pivot magnitude below tolerance")
-    return scipy.linalg.lu_solve((lu, piv), b)
 
 
 def top_singular_ratio(x: np.ndarray) -> float:

@@ -17,7 +17,6 @@ certified iterates yield an eigenpair of the original tensor.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -55,7 +54,7 @@ AA_REGULARIZATION = 1e-10  # Tikhonov weight of the fit, relative to the Gram tr
 # a flat face the residual is constant up to round-off, and a tie is no progress.
 AA_MIN_DECREASE = 1e-6
 DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X has ||X||_F <= 1
-EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows
+EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows, times max(1, ||T||_F)
 UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
 ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
 ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
@@ -69,39 +68,30 @@ class SolverOptions:
     max_iter: int = MAX_ITER
 
 
-class Coordinates(NamedTuple):
-    """The ADMM loop's data in coordinates Y = U^H X U."""
-
-    u: np.ndarray | None  # None: U = I, the loop works on X itself
-    c: np.ndarray  # U^H C U
-    project: Callable[[np.ndarray], np.ndarray]  # onto M_pi(CPS), in these coordinates
-    c_norm: float  # ||C||_2, the same in all coordinates
-
-
-@dataclass
+@dataclass(frozen=True)
 class MatrixModel:
-    """Data of the lifted problem: C = conj(M_pi(T)) for a validated pi."""
+    """The lifted problem, built once by build_matrix_model: C = conj(M_pi(T))
+    for a validated pi, and the solve's data in coordinates Y = U^H X U."""
 
     tensor: DenseTensor
     pi: tuple[int, ...]
     n: int
     d: int
     C: np.ndarray
+    frame: np.ndarray | None  # U; None: U = I, the loop works on X itself
+    c: np.ndarray  # U^H C U
+    project: Callable[[np.ndarray], np.ndarray]  # onto M_pi(CPS), in these coordinates
+    p_eye: np.ndarray  # project(I)
+    c_norm: float  # ||C||_2, the same in all coordinates
 
     @property
     def size(self) -> int:
         return self.n**self.d
 
-    @functools.cached_property
-    def coordinates(self) -> Coordinates:
-        """The solve's coordinates, built once per model: real Y = U^H X U
-        with U = reshaping.real_frame(n) at d = 2, X itself at other orders."""
-        c_norm = float(np.linalg.norm(self.C, 2))
-        if self.d != 2:
-            return Coordinates(None, self.C, rs.cps_projector(self.n, self.d, self.pi), c_norm)
-        u = rs.real_frame(self.n)
-        c = (u.conj().T @ self.C @ u).real
-        return Coordinates(u, c, rs.real_cps_projector(self.n, self.pi), c_norm)
+
+def _to_frame(x: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
+    """U^H X U, real: a frame is only built where M_pi(CPS) is real in it."""
+    return x if frame is None else (frame.conj().T @ x @ frame).real
 
 
 @dataclass
@@ -151,7 +141,9 @@ class SolveReport:
 
 
 def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
-    """Lift a CPS tensor to its pi-matricized Hermitian data matrix."""
+    """Lift a CPS tensor to its pi-matricized Hermitian data matrix, with
+    everything the solve needs: real Y = U^H X U with
+    U = reshaping.real_frame(n) at d = 2, X itself at other orders."""
     if not tz.is_cps(t):
         raise NotCps("matrix lift needs a CPS tensor")
     d = t.half
@@ -162,7 +154,16 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
         raise BadPermutation(f"{pi} violates the conjugate (Hermitian) condition")
     if not rs.satisfies_rank_condition(pi, d):
         raise BadPermutation(f"{pi} violates the rank-one equivalence condition")
-    return MatrixModel(tensor=t, pi=pi, n=t.n, d=d, C=np.conj(rs.matricize_pi(t, pi)))
+    data = np.conj(rs.matricize_pi(t, pi))
+    if d == 2:
+        frame, project = rs.real_frame(t.n), rs.real_cps_projector(t.n, pi)
+    else:
+        frame, project = None, rs.cps_projector(t.n, d, pi)
+    c = _to_frame(data, frame)
+    return MatrixModel(
+        tensor=t, pi=pi, n=t.n, d=d, C=data, frame=frame, c=c, project=project,
+        p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(np.linalg.norm(data, 2)),
+    )
 
 
 def project_cps_subspace(x: np.ndarray, model: MatrixModel) -> np.ndarray:
@@ -226,7 +227,7 @@ class _Anderson:
         return z.view(self.dtype).reshape(self.shape)
 
 
-def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
+def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
     iterate, X = Y at the optimum, accelerated by safeguarded Anderson
     acceleration.
@@ -239,20 +240,19 @@ def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
     and clears the history.  `iterations` counts map evaluations, rejected
     extrapolations included, and max_iter caps them.  The loop runs on plain
-    arrays in the given coordinates, whose structure was checked when the
+    arrays in the model's coordinates, whose structure was checked when the
     model was built; its final X is mapped back by U (.) U^H once, after the
     loop, and the final multiplier u stays in the loop's coordinates."""
-    c, project = coords.c, coords.project
-    proj_identity = project(np.eye(len(c), dtype=c.dtype))
-    proj_identity_trace = float(np.trace(proj_identity).real)
+    c, project, p_eye = model.c, model.project, model.p_eye
+    p_eye_trace = float(np.trace(p_eye).real)
 
     def project_affine(w: np.ndarray) -> np.ndarray:
         """Exact projection onto the affine set {X in M_pi(CPS): tr X = 1}."""
         w = project(w)
-        shift = (1.0 - np.trace(w).real) / proj_identity_trace
-        return w + shift * proj_identity
+        shift = (1.0 - np.trace(w).real) / p_eye_trace
+        return w + shift * p_eye
 
-    beta = max(coords.c_norm, 1e-12)
+    beta = max(model.c_norm, 1e-12)
     evaluations = 0
 
     def step(z: np.ndarray) -> _Step:
@@ -316,8 +316,8 @@ def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
         cur = nxt
     x = cur.x
     lin = float(np.vdot(c, x).real)
-    if coords.u is not None:
-        x = coords.u @ x @ coords.u.conj().T
+    if model.frame is not None:
+        x = model.frame @ x @ model.frame.conj().T
     return SolveReport(
         X=x, objective=lin, linear_objective=lin, primal_residual=cur.primal,
         dual_residual=cur.dual, iterations=evaluations, converged=stop == "tol",
@@ -328,7 +328,7 @@ def _admm(coords: Coordinates, prox, opts: SolverOptions) -> SolveReport:
 def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveReport:
     """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
     opts = opts or SolverOptions()
-    report = _admm(model.coordinates, lambda w, beta: _spectral_prox(w), opts)
+    report = _admm(model, lambda w, beta: _spectral_prox(w), opts)
     return certify_and_recover(report, model)
 
 
@@ -346,7 +346,7 @@ def solve_nuclear(
     smaller rho is solved as given, with a warning on the package logger.
     """
     opts = opts or SolverOptions()
-    c_norm = model.coordinates.c_norm
+    c_norm = model.c_norm
     if rho is None:
         rho = c_norm
     if not 0.0 < rho < math.inf:
@@ -355,7 +355,7 @@ def solve_nuclear(
         log.warning(
             "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm
         )
-    report = _admm(model.coordinates, lambda w, beta: _spectral_prox(w, rho / beta), opts)
+    report = _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), opts)
     report.model, report.rho = "nuclear", rho
     return certify_and_recover(report, model)
 
@@ -370,11 +370,7 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     mapped back through U.
     """
     t = model.tensor
-    frame = model.coordinates.u
-    if frame is None:
-        eig = herm_eig(report.X)
-    else:
-        eig = herm_eig((frame.conj().T @ report.X @ frame).real)
+    eig = herm_eig(_to_frame(report.X, model.frame))
     if report.model == "nuclear":
         nuc = float(np.abs(eig.eigenvalues).sum())
         report.objective = report.linear_objective - report.rho * nuc
@@ -382,7 +378,7 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     try:
         report.rank_one_ratio = eig.modulus_ratio()
         vec, _ = rs._extract_from_eig(
-            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, frame
+            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, model.frame
         )
     except (ZeroMatrix, NotRankOne, NotInSubspace):
         return report
@@ -391,14 +387,15 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     res = eigen_residual(t, pair)
     report.eigenpair = pair
     report.eigen_res = res
-    report.certified = bool(res <= EIG_TOL and abs(value.imag) <= EIG_TOL)
+    tol = EIG_TOL * max(1.0, t.norm())
+    report.certified = bool(res <= tol and abs(value.imag) <= tol)
     if report.certified and report.multiplier is not None:
-        bound = dual_bound(model.coordinates, report.multiplier)
+        bound = dual_bound(model, report.multiplier)
         report.optimality_gap = (bound - pair.value) / max(abs(pair.value), 1e-300)
     return report
 
 
-def dual_bound(coords: Coordinates, u: np.ndarray) -> float:
+def dual_bound(model: MatrixModel, u: np.ndarray) -> float:
     """An upper bound on <C, X> over the SDP's feasible set, hence on the
     largest C-eigenvalue, from an ADMM multiplier u.
 
@@ -409,12 +406,10 @@ def dual_bound(coords: Coordinates, u: np.ndarray) -> float:
     C - u = W + t I, and the bound is tight.  Everything is unitarily
     invariant, so it is computed in the loop's coordinates.
     """
-    project = coords.project
-    eye = np.eye(len(coords.c), dtype=coords.c.dtype)
-    p_eye = project(eye)
-    t = float(np.vdot(p_eye, coords.c - u).real) / float(np.vdot(p_eye, p_eye).real)
-    w = project(u) - u - t * (eye - p_eye)
-    top, _ = _eigh(coords.c - w, "I", vectors=False, il=len(w), iu=len(w))
+    c, p_eye = model.c, model.p_eye
+    t = float(np.vdot(p_eye, c - u).real) / float(np.vdot(p_eye, p_eye).real)
+    w = model.project(u) - u - t * (np.eye(len(c), dtype=c.dtype) - p_eye)
+    top, _ = _eigh(c - w, "I", vectors=False, il=len(w), iu=len(w))
     return float(top[-1])
 
 

@@ -290,7 +290,11 @@ def save_tensor(t: DenseTensor, path) -> None:
 
 def load_tensor(path) -> DenseTensor:
     with open(path, "r", encoding="utf-8") as fh:
-        return tensor_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"tensor file {path} is not UTF-8 text: {exc}") from None
+    return tensor_from_json(text)
 
 
 def rank_one_cps(coeff: float, a, d: int) -> DenseTensor:

@@ -182,6 +182,24 @@ class TestRank1:
     def test_bad_permutation_exit(self, gap_file):
         assert main(["rank1", gap_file, "--pi", "1,2,3,4"]) == 3
 
+    def test_uncertified_json_is_strict(self, gap_file, capsys):
+        # JSON has no NaN or Infinity, so a non-finite number is written as null
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["rank1", gap_file]) == 2
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["certified"] is False
+        assert payload["eigen_residual"] is None and payload["optimality_gap"] is None
+
+    def test_not_utf8_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["rank1", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(path) in err and "not UTF-8" in err and "0xff" in err
+
 
 class TestNumericFlags:
     @pytest.fixture

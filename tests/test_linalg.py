@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from cpstensor import linalg
-from cpstensor.errors import NonHermitianInput, RangeError, SingularMatrix, ZeroMatrix
+from cpstensor.errors import NonHermitianInput, RangeError, ZeroMatrix
 from cpstensor.linalg import (
     HermEigen,
     eig_soft_threshold,
     herm_eig,
     project_psd,
-    solve_linear,
     top_singular_ratio,
 )
 
@@ -125,33 +124,6 @@ class TestEigSoftThreshold:
         lhs = eig_soft_threshold(q @ x @ q.conj().T, 0.3)
         rhs = q @ eig_soft_threshold(x, 0.3) @ q.conj().T
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(x)
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0 + 2j, -3.0, 0.5j])
-        assert np.allclose(solve_linear(np.eye(3), b), b)
-
-    def test_vandermonde_power_system(self):
-        # nodes 1..5, d = 2: rhs (1, 0, sqrt(2), 0, 2); solution is real and
-        # satisfies the middle moment equation exactly
-        nodes = np.arange(1.0, 6.0)
-        a = np.array([[x**k for x in nodes] for k in range(5)])
-        rhs = np.array([1.0, 0.0, np.sqrt(2.0), 0.0, 2.0])
-        z = solve_linear(a, rhs)
-        res = np.linalg.norm(a @ z - rhs)
-        assert res <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(z) + np.linalg.norm(rhs))
-        assert np.max(np.abs(z.imag)) <= 1e-10
-        assert abs(np.sum(nodes**2 * z.real) - np.sqrt(2.0)) <= 1e-10
-
-    def test_known_inverse_2x2(self):
-        a = np.array([[2.0, 1.0], [1.0, 1.0]])
-        b = np.array([3.0, 2.0])
-        assert np.allclose(solve_linear(a, b), [1.0, 1.0], atol=1e-12)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
 
 
 class TestTopSingularRatio:

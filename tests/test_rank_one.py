@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -103,22 +104,44 @@ def _sdp_prox(w, beta):
 class TestCoordinates:
     def test_real_at_order_four(self):
         model = r1.build_matrix_model(random_cps_tensor(3, 22))
-        coords = model.coordinates
-        assert coords.c.dtype == np.float64
-        assert np.allclose(coords.u @ coords.c @ coords.u.conj().T, model.C, atol=1e-14)
-        assert model.coordinates is coords  # built once per model
+        u = model.frame
+        assert model.c.dtype == model.p_eye.dtype == np.float64
+        assert np.allclose(u @ model.c @ u.conj().T, model.C, atol=1e-14)
+        assert np.array_equal(model.p_eye, model.project(np.eye(9)))
+        assert model.c_norm == pytest.approx(np.linalg.norm(model.C, 2), rel=1e-14)
+        with pytest.raises(dataclasses.FrozenInstanceError):  # built once per model
+            model.c = model.C
 
     def test_complex_at_order_six(self):
         model = r1.build_matrix_model(random_cps_tensor(2, 23, d=3))
-        assert model.coordinates.u is None
-        assert model.coordinates.c is model.C
+        assert model.frame is None
+        assert model.c is model.C
+        assert np.array_equal(model.p_eye, model.project(np.eye(8, dtype=complex)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_solves_do_not_project_the_identity(self, d):
+        # P(I) is a field of the model: the loop and the dual bound read it
+        model = r1.build_matrix_model(random_cps_tensor(3 if d == 2 else 2, 32, d=d))
+        seen = []
+
+        def project(x):
+            seen.append(np.array_equal(x, np.eye(len(x))))
+            return model.project(x)
+
+        counted = dataclasses.replace(model, project=project)
+        for solve in (r1.solve_sdp, r1.solve_nuclear):
+            assert solve(counted, opts=FAST).certified
+        assert seen and not any(seen)
 
     @pytest.mark.parametrize("nuclear", [False, True])
     def test_same_loop_in_both_coordinates(self, nuclear):
         # the one loop on X itself (U = I) and on real Y = U^H X U
-        model = r1.build_matrix_model(random_cps_tensor(4, 24))
-        real = model.coordinates
-        plain = r1.Coordinates(None, model.C, rs.cps_projector(4, 2, model.pi), real.c_norm)
+        real = r1.build_matrix_model(random_cps_tensor(4, 24))
+        project = rs.cps_projector(4, 2, real.pi)
+        plain = dataclasses.replace(
+            real, frame=None, c=real.C, project=project,
+            p_eye=project(np.eye(16, dtype=complex)),
+        )
         rho = real.c_norm
         prox = (lambda w, beta: r1._spectral_prox(w, rho / beta)) if nuclear else _sdp_prox
         a = r1._admm(plain, prox, FAST)
@@ -148,7 +171,7 @@ class TestStopReason:
     def test_non_finite(self, d):
         # a NaN stops the loop at once instead of running to max_iter
         model = r1.build_matrix_model(random_cps_tensor(2, 26, d=d))
-        report = r1._admm(model.coordinates, lambda w, beta: np.full_like(w, np.nan), FAST)
+        report = r1._admm(model, lambda w, beta: np.full_like(w, np.nan), FAST)
         assert report.stop_reason == "non-finite" and not report.converged
         assert report.iterations == 1
 
@@ -197,7 +220,7 @@ class TestDivergence:
         # rho = 0.05 ||C||_2 leaves the model unbounded; the loop used to run
         # all 10 000 evaluations and return an objective of about 6e5
         model = r1.build_matrix_model(ap.random_cps(4, 8000))
-        report = r1.solve_nuclear(model, rho=0.05 * model.coordinates.c_norm)
+        report = r1.solve_nuclear(model, rho=0.05 * model.c_norm)
         assert report.stop_reason == "diverged"
         assert not report.converged and not report.certified
         assert report.iterations < 1000
@@ -205,7 +228,7 @@ class TestDivergence:
 
     def test_small_rho_warns(self, caplog):
         model = r1.build_matrix_model(ap.random_cps(4, 8000))
-        c_norm = model.coordinates.c_norm
+        c_norm = model.c_norm
         with caplog.at_level(logging.WARNING, logger="cpstensor"):
             r1.solve_nuclear(model, rho=c_norm, opts=FAST)
             assert not caplog.records
@@ -248,8 +271,8 @@ class TestOptimalityGap:
         # any multiplier gives a valid bound; it is loose far from the optimum
         model = r1.build_matrix_model(random_cps_tensor(3, 33))
         report = r1.solve_sdp(model, FAST)
-        for u in (np.zeros_like(model.coordinates.c), report.multiplier + 0.1):
-            assert r1.dual_bound(model.coordinates, u) >= report.eigenpair.value - 1e-12
+        for u in (np.zeros_like(model.c), report.multiplier + 0.1):
+            assert r1.dual_bound(model, u) >= report.eigenpair.value - 1e-12
 
     def test_nan_when_uncertified(self):
         model = r1.build_matrix_model(random_cps_tensor(3, 34))
@@ -260,11 +283,11 @@ class TestOptimalityGap:
 
 class TestSpectralCalls:
     def test_one_norm_and_one_eigendecomposition(self, monkeypatch):
-        # ||C||_2 once per model; ||X||_* from the certificate's herm_eig; one
-        # top-eigenvalue call of the eigen kernel per certified solve, for the
-        # dual bound of the optimality gap
-        model = r1.build_matrix_model(random_cps_tensor(4, 27))
-        big = model.size
+        # ||C||_2 once per model, when it is built; ||X||_* from the
+        # certificate's herm_eig; one top-eigenvalue call of the eigen kernel
+        # per certified solve, for the dual bound of the optimality gap
+        t = random_cps_tensor(4, 27)
+        big = 16
         calls = []
 
         def counted(name, fn, square_only=False):
@@ -290,11 +313,28 @@ class TestSpectralCalls:
         herm_eig = counted("herm_eig", r1.herm_eig)
         monkeypatch.setattr(r1, "herm_eig", herm_eig)
         monkeypatch.setattr(rs, "herm_eig", herm_eig)
+        model = r1.build_matrix_model(t)
+        assert calls == ["norm"]
+        calls.clear()
         assert r1.solve_nuclear(model, opts=FAST).certified
-        assert sorted(calls) == ["herm_eig", "norm", "top eigenvalue"]
+        assert calls == ["herm_eig", "top eigenvalue"]
         calls.clear()
         assert r1.solve_sdp(model, FAST).certified
         assert calls == ["herm_eig", "top eigenvalue"]
+
+
+class TestCertificateScale:
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_scaled_tensor_certifies(self, scale):
+        # the eigen residual grows with T (1.2e-6 at scale 100, SDP), so the
+        # certificate's tolerance grows with ||T||_F
+        t = ap.random_cps(4, 8000)
+        scaled = tz.DenseTensor(t.n, t.order, scale * t.entries)
+        for solve in (r1.solve_sdp, r1.solve_nuclear):
+            ref = solve(r1.build_matrix_model(t))
+            report = solve(r1.build_matrix_model(scaled))
+            assert ref.certified and report.certified
+            assert report.eigenpair.value / scale == pytest.approx(ref.eigenpair.value, rel=1e-9)
 
 
 class TestPinnedIterates:

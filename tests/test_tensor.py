@@ -11,6 +11,7 @@ from cpstensor.errors import (
     IndexOutOfRange,
     NotPartialSymmetric,
     OddOrder,
+    ParseError,
     SizeMismatch,
 )
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
@@ -257,6 +258,12 @@ class TestSerialization:
         back = tz.load_tensor(path)
         assert back.n == t.n and back.order == t.order
         assert np.array_equal(back.entries, t.entries)
+
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            tz.load_tensor(path)
 
     def test_schema(self):
         payload = json.loads(tz.tensor_to_json(tz.zero(2, 2)))
