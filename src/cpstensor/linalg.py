@@ -67,16 +67,28 @@ def _eigh(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, V) of a Hermitian float64 or complex128 matrix h, w
     ascending, by LAPACK's ?syevr / ?heevr on the lower triangle of h, which
-    it overwrites: all of them for select "A" (by MRRR), those with
-    vl < w <= vu for "V" and the il-th to iu-th (1-based) for "I" (by
-    bisection and inverse iteration; only the vectors asked for are mapped
-    back from tridiagonal form).  V is empty without vectors.  A non-finite
-    h, which LAPACK's bisection rejects, gives NaN, as numpy's eigh does."""
+    it overwrites unless select is "I": all of them for select "A" (by
+    MRRR), those with vl < w <= vu for "V" and the il-th to iu-th (1-based)
+    for "I" (by bisection and inverse iteration; only the vectors asked for
+    are mapped back from tridiagonal form).  V is empty without vectors.  A non-finite
+    h, which LAPACK's bisection rejects, gives NaN, as numpy's eigh does.
+
+    Bisection can miss the il-th to iu-th eigenvalues inside a tight
+    cluster: ?stebz then reports info = 2 without vectors, and with vectors
+    the call returns none and info = 0 (a top eigenvalue of multiplicity 8
+    at N = 16 does it).  For "I", h is kept and such a call is redone by
+    LAPACK's documented cure, all eigenpairs, of which il to iu are kept."""
     if not np.isfinite(h).all():
         return np.full(len(h), np.nan), np.full((len(h), len(h)), np.nan, dtype=h.dtype)
-    w, v, m, _, info = _EVR[h.dtype](
-        h, compute_v=vectors, range=select, lower=1, overwrite_a=1, **bounds
+    evr = _EVR[h.dtype]
+    w, v, m, _, info = evr(
+        h, compute_v=vectors, range=select, lower=1, overwrite_a=select != "I", **bounds
     )
+    if select == "I" and (info != 0 or m != bounds["iu"] - bounds["il"] + 1):
+        w, v, m, _, info = evr(h, compute_v=vectors, lower=1, overwrite_a=1)
+        keep = slice(bounds["il"] - 1, bounds["iu"])
+        w, v = w[keep], v[:, keep]
+        m = len(w)
     if info != 0:  # pragma: no cover - LAPACK failure
         raise NoConvergence(f"?syevr / ?heevr returned info={info}")
     return w[:m], v[:, :m]

@@ -10,9 +10,10 @@ convex relaxations are solved by ADMM:
   soft threshold); on any feasible rank-one point the penalty is constant.
 
 At d = 2 the loop runs on the real symmetric matrices Y = U^H X U of
-U = reshaping.real_frame(n); other orders keep X itself.  Solutions are
-certified rank-one through the modulus ratio of the two top eigenvalues;
-certified iterates yield an eigenpair of the original tensor.
+U = reshaping.real_frame(n); other orders keep X itself.  A solve is
+certified either through a closed primal-dual bracket, checked during the
+loop, or, after the loop, rank-one through the modulus ratio of the two top
+eigenvalues; certified solves yield an eigenpair of the original tensor.
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ ADAPT_RATIO = 10.0  # residual imbalance that doubles or halves the penalty
 AA_MEMORY = 5  # past steps in the Anderson extrapolation
 AA_MAX_PAUSE = 64  # longest pause of extrapolation after rejected ones
 AA_REGULARIZATION = 1e-10  # Tikhonov weight of the fit, relative to the Gram trace
-# Relative residual drop an extrapolated point must beat.  On a slow drift along
-# a flat face the residual is constant up to round-off, and a tie is no progress.
-AA_MIN_DECREASE = 1e-6
 DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X has ||X||_F <= 1
 EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows, times max(1, ||T||_F)
+GAP_TOL = 1e-12  # relative width (U - L) / |L| of a primal-dual bracket that stops and certifies
 UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
 ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
 ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
@@ -109,9 +108,10 @@ class SolveReport:
     certified: bool = False
     model: str = "sdp"
     rho: float = 0.0
-    stop_reason: str = ""  # "tol", "max_iter", "non-finite" or "diverged"
+    stop_reason: str = ""  # "tol", "gap", "max_iter", "non-finite" or "diverged"
     beta_final: float = 0.0  # the ADMM penalty of the last iteration
     optimality_gap: float = math.nan  # (dual bound - lambda) / |lambda| when certified
+    certificate: str = ""  # "rank_one", "bracket", or "" when uncertified
     multiplier: np.ndarray | None = field(default=None, repr=False)  # final u, loop coordinates
 
     def to_dict(self) -> dict:
@@ -137,6 +137,7 @@ class SolveReport:
             "stop_reason": self.stop_reason,
             "beta_final": self.beta_final,
             "optimality_gap": self.optimality_gap,
+            "certificate": self.certificate,
         }
 
 
@@ -227,6 +228,36 @@ class _Anderson:
         return z.view(self.dtype).reshape(self.shape)
 
 
+class _Bracket(NamedTuple):
+    """A closed primal-dual bracket: a unit x with L = T(conj(x)^d x^d) and
+    an upper bound U on the largest C-eigenvalue, U - L <= GAP_TOL |L|."""
+
+    pair: EigenPair  # x and L
+    residual: float  # eigen residual at x
+    gap: float  # (U - L) / |L|
+
+
+def _closed_bracket(model: MatrixModel, x: np.ndarray, u: np.ndarray) -> _Bracket | None:
+    """The bracket of an iterate X and multiplier u, in the loop's
+    coordinates, when it closes and its candidate passes the certificate's
+    eigen tests; else None.
+
+    The candidate is the unit x read off the top eigenvector of X as the
+    rank-one certificate reads it; L is the conjugate form at x, a lower
+    bound on the maximum, and U = dual_bound(model, u), computed only once
+    the cheaper eigen tests pass."""
+    t = model.tensor
+    _, v = _eigh(x, "I", il=len(x), iu=len(x))
+    vec = rs._oriented_vector(v[:, 0], model.pi, model.n, model.d, model.frame)
+    value = tz.conj_form_eval(t, vec)
+    pair = EigenPair(value.real, vec)
+    res = eigen_residual(t, pair)
+    if not _passes_eigen_tests(t, value, res):
+        return None
+    gap = _relative_gap(dual_bound(model, u), pair.value)
+    return _Bracket(pair, res, gap) if gap <= GAP_TOL else None
+
+
 def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
     iterate, X = Y at the optimum, accelerated by safeguarded Anderson
@@ -239,10 +270,17 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
     and clears the history.  `iterations` counts map evaluations, rejected
-    extrapolations included, and max_iter caps them.  The loop runs on plain
-    arrays in the model's coordinates, whose structure was checked when the
-    model was built; its final X is mapped back by U (.) U^H once, after the
-    loop, and the final multiplier u stays in the loop's coordinates."""
+    extrapolations included, and max_iter caps them.
+
+    Every ADAPT_EVERY passes, before the penalty check, the loop checks the
+    primal-dual bracket of the current X and u (_closed_bracket) and stops
+    with "gap" once it closes; the report's X is then the rank-one lift of
+    the bracket's x, which is exactly feasible and has <C, X> = L, and it
+    carries the eigenpair, its residual and the gap (U - L) / |L|.  The loop
+    runs on plain arrays in the model's coordinates, whose structure was
+    checked when the model was built; its final X is mapped back by
+    U (.) U^H once, after the loop, and the final multiplier u stays in the
+    loop's coordinates."""
     c, project, p_eye = model.c, model.project, model.p_eye
     p_eye_trace = float(np.trace(p_eye).real)
 
@@ -289,6 +327,10 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         passes += 1
         factor = 1.0
         if passes % ADAPT_EVERY == 0:
+            bracket = _closed_bracket(model, cur.x, beta * cur.image[1])
+            if bracket is not None:
+                stop = "gap"
+                break
             if cur.primal > ADAPT_RATIO * cur.dual:
                 factor = 2.0
             elif cur.dual > ADAPT_RATIO * cur.primal:
@@ -302,7 +344,7 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
             skip -= 1
         elif history.count:
             trial = step(history.extrapolate(cur))
-            if trial.residual_norm < (1.0 - AA_MIN_DECREASE) * cur.residual_norm:
+            if trial.residual_norm < cur.residual_norm:
                 nxt, pause = trial, 0
             else:
                 pause = skip = min(2 * pause or 1, AA_MAX_PAUSE)
@@ -314,14 +356,20 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         if factor == 1.0:
             history.push(nxt, cur)
         cur = nxt
-    x = cur.x
-    lin = float(np.vdot(c, x).real)
-    if model.frame is not None:
-        x = model.frame @ x @ model.frame.conj().T
+    found = {}
+    if stop == "gap":
+        x = rs._rank_one_lift(bracket.pair.vector, model.pi, model.d)
+        lin = float(np.vdot(model.C, x).real)
+        found = dict(eigenpair=bracket.pair, eigen_res=bracket.residual, optimality_gap=bracket.gap)
+    else:
+        x = cur.x
+        lin = float(np.vdot(c, x).real)
+        if model.frame is not None:
+            x = model.frame @ x @ model.frame.conj().T
     return SolveReport(
         X=x, objective=lin, linear_objective=lin, primal_residual=cur.primal,
-        dual_residual=cur.dual, iterations=evaluations, converged=stop == "tol",
-        stop_reason=stop, beta_final=beta, multiplier=beta * cur.image[1],
+        dual_residual=cur.dual, iterations=evaluations, converged=stop in ("tol", "gap"),
+        stop_reason=stop, beta_final=beta, multiplier=beta * cur.image[1], **found,
     )
 
 
@@ -361,15 +409,25 @@ def solve_nuclear(
 
 
 def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
-    """Attach the rank-one certificate and, when it holds, the eigenpair and
-    its optimality gap.
+    """Attach the certificate and, when it holds, the eigenpair and its
+    optimality gap.
 
-    One eigendecomposition serves the certificate, the extraction and, for
-    the nuclear model, the penalized objective <C, X> - rho ||X||_*.  At
-    d = 2 it is of the real matrix Y = U^H X U, and the top eigenvector is
-    mapped back through U.
+    A loop stopped on "gap" already holds the eigenpair of its closed
+    bracket and the bracket's gap, and X is the pair's unit rank-one lift:
+    the certificate is "bracket", and the nuclear objective is
+    <C, X> - rho, since ||X||_* = 1.  Otherwise the certificate is
+    "rank_one": one eigendecomposition serves the rank-one test, the
+    extraction and, for the nuclear model, the penalized objective
+    <C, X> - rho ||X||_*.  At d = 2 it is of the real matrix Y = U^H X U,
+    and the top eigenvector is mapped back through U.
     """
     t = model.tensor
+    if report.stop_reason == "gap":
+        if report.model == "nuclear":
+            report.objective = report.linear_objective - report.rho
+        report.rank_one_ratio = 0.0
+        report.certified, report.certificate = True, "bracket"
+        return report
     eig = herm_eig(_to_frame(report.X, model.frame))
     if report.model == "nuclear":
         nuc = float(np.abs(eig.eigenvalues).sum())
@@ -387,12 +445,24 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
     res = eigen_residual(t, pair)
     report.eigenpair = pair
     report.eigen_res = res
-    tol = EIG_TOL * max(1.0, t.norm())
-    report.certified = bool(res <= tol and abs(value.imag) <= tol)
-    if report.certified and report.multiplier is not None:
-        bound = dual_bound(model, report.multiplier)
-        report.optimality_gap = (bound - pair.value) / max(abs(pair.value), 1e-300)
+    report.certified = _passes_eigen_tests(t, value, res)
+    if report.certified:
+        report.certificate = "rank_one"
+        if report.multiplier is not None:
+            report.optimality_gap = _relative_gap(dual_bound(model, report.multiplier), pair.value)
     return report
+
+
+def _relative_gap(upper: float, value: float) -> float:
+    """(U - lambda) / |lambda| for an upper bound U on the largest C-eigenvalue."""
+    return (upper - value) / max(abs(value), 1e-300)
+
+
+def _passes_eigen_tests(t: DenseTensor, value: complex, res: float) -> bool:
+    """The eigen residual and |Im value| of a candidate pair are both within
+    EIG_TOL max(1, ||T||_F)."""
+    tol = EIG_TOL * max(1.0, t.norm())
+    return bool(res <= tol and abs(value.imag) <= tol)
 
 
 def dual_bound(model: MatrixModel, u: np.ndarray) -> float:

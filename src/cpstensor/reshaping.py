@@ -288,23 +288,35 @@ def _extract_from_eig(
         raise NotInSubspace("matrix does not lie in the matricized CPS subspace")
 
     top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
-    u = eig.eigenvectors[:, top_idx]
+    vec = _oriented_vector(eig.eigenvectors[:, top_idx], pi, n, d, frame)
+    pattern = _rank_one_lift(vec, pi, d)
+    lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1
+    res = np.linalg.norm(x - lam * pattern) / scale
+    if res > tol:
+        raise NotRankOne(f"rank-one reconstruction residual {res:.3e} too large")
+    return vec, lam
+
+
+def _oriented_vector(
+    u: np.ndarray, pi: tuple[int, ...], n: int, d: int, frame: np.ndarray | None = None
+) -> np.ndarray:
+    """The unit x, phase fixed, read off an eigenvector u of a near rank-one
+    matrix of M_pi(CPS) (U u with a frame U): the top left singular vector of
+    the mode-1 unfolding of u, conjugated when mode 1 carries conj(x)."""
     if frame is not None:
         u = frame @ u
     factor = u.reshape(n, -1)  # mode-1 unfolding of the order-d pattern tensor
     _, _, vh = np.linalg.svd(factor.conj().T, full_matrices=False)
     f1 = np.conj(vh[0])  # top left singular vector of the unfolding
     vec = np.conj(f1) if pi[0] <= d else f1
-    vec = _canonical_phase(vec / np.linalg.norm(vec))
+    return _canonical_phase(vec / np.linalg.norm(vec))
 
-    # M_pi of the unit rank-one CPS tensor: its source modes in T's first half
-    # carry conj(vec), those in the second half vec
+
+def _rank_one_lift(vec: np.ndarray, pi: tuple[int, ...], d: int) -> np.ndarray:
+    """M_pi(conj(x)^{ox d} (x) x^{ox d}) for a unit x: a trace-one rank-one PSD
+    matrix of M_pi(CPS).  Source modes of T's first half carry conj(x), those
+    of the second half x."""
     factors = [np.conj(vec) if p <= d else vec for p in pi]
-    pattern = np.outer(
+    return np.outer(
         functools.reduce(np.kron, factors[:d]), functools.reduce(np.kron, factors[d:])
     )
-    lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1
-    res = np.linalg.norm(x - lam * pattern) / scale
-    if res > tol:
-        raise NotRankOne(f"rank-one reconstruction residual {res:.3e} too large")
-    return vec, lam

@@ -131,10 +131,20 @@ class TestRank1:
     def test_stop_reason_and_final_penalty(self, rank_one_file, capsys):
         main(["rank1", rank_one_file])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["stop_reason"] == "tol"
+        assert (payload["stop_reason"], payload["certificate"]) == ("tol", "rank_one")
         assert payload["beta_final"] > 0
         main(["rank1", rank_one_file, "--max-iter", "3"])
-        assert json.loads(capsys.readouterr().out)["stop_reason"] == "max_iter"
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["stop_reason"], payload["certificate"]) == ("max_iter", "")
+
+    def test_bracket_certificate(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        tz.save_tensor(ap.random_cps(4, 8003), path)
+        assert main(["rank1", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["stop_reason"], payload["certificate"]) == ("gap", "bracket")
+        assert payload["converged"] is True and payload["rank_one_ratio"] == 0.0
+        assert 0.0 <= payload["optimality_gap"] <= 1e-12
 
     def test_diverged_exits_4(self, tmp_path, capsys):
         # rho far below ||C||_2 leaves the nuclear model unbounded
@@ -214,9 +224,12 @@ class TestNumericFlags:
         tz.save_tensor(ap.useig_benchmark("b"), path)
         return str(path)
 
-    def test_zero_tol_runs_to_max_iter(self, cps_file, capsys):
-        # a default-tolerance solve of this tensor converges well before 1000
-        main(["--tol", "0", "rank1", cps_file, "--max-iter", "1000"])
+    def test_zero_tol_runs_to_max_iter(self, tmp_path, gap_tensor, capsys):
+        # a default-tolerance solve of this tensor stops on tol after 7
+        # evaluations; its degenerate maximum never closes the bracket
+        path = tmp_path / "gap.json"
+        tz.save_tensor(gap_tensor, path)
+        main(["--tol", "0", "rank1", str(path), "--max-iter", "1000"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["iterations"] == 1000
         assert payload["converged"] is False

@@ -209,3 +209,22 @@ class TestSubsetProx:
         x[1, 2] = x[2, 1] = np.nan
         assert np.isnan(linalg._spectral_prox(x)).all()
         assert np.isnan(linalg._spectral_prox(x, self.TAU)).all()
+
+
+class TestSubsetInCluster:
+    # a top eigenvalue of multiplicity 8 at N = 16: LAPACK's bisection finds
+    # no eigenvalue for il = iu = 16 on these two matrices (info = 2 without
+    # vectors, none returned and info = 0 with them)
+    SPECTRUM = [0.0, 1, 2, 3, 4, 5, 6, 7] + [16.0] * 8
+
+    @pytest.mark.parametrize("is_complex,seed", [(False, 93), (True, 24)])
+    def test_top_eigenpair(self, is_complex, seed):
+        a = with_spectrum(self.SPECTRUM, is_complex, seed)
+        kept = a.copy()
+        w, _ = linalg._eigh(a, "I", vectors=False, il=16, iu=16)
+        assert w == pytest.approx([16.0], rel=1e-12)
+        w, v = linalg._eigh(a, "I", il=16, iu=16)
+        assert w == pytest.approx([16.0], rel=1e-12)
+        assert v.shape == (16, 1)
+        assert np.linalg.norm(a @ v - 16.0 * v) <= 1e-12 * 16.0
+        assert np.array_equal(a, kept)
