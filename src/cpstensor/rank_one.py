@@ -47,6 +47,7 @@ SOLVER_TOL = 1e-7
 MAX_ITER = 10000
 OVER_RELAX = 1.7  # standard over-relaxation factor in (1, 2)
 ADAPT_EVERY = 10  # loop steps between penalty rebalancing checks
+BRACKET_EVERY = 5  # loop steps between primal-dual bracket checks that may complete the dual
 ADAPT_RATIO = 10.0  # residual imbalance that doubles or halves the penalty
 AA_MEMORY = 5  # past steps in the Anderson extrapolation
 AA_MAX_PAUSE = 64  # longest pause of extrapolation after rejected ones
@@ -54,6 +55,13 @@ AA_REGULARIZATION = 1e-10  # Tikhonov weight of the fit, relative to the Gram tr
 DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X has ||X||_F <= 1
 EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows, times max(1, ||T||_F)
 GAP_TOL = 1e-12  # relative width (U - L) / |L| of a primal-dual bracket that stops and certifies
+POLISH_STEPS = 6  # most Newton steps of a bracket candidate's polish
+POLISH_TOL = 1e-14  # eigen residual, times ||T||_F, that ends the polish, and its form's rounding
+POLISH_FLOOR = 1e-8  # least curvature modulus of a polish step, relative to the largest
+COMPLETE_GATE = 1e-2  # bracket width under which the dual certificate is completed
+COMPLETE_MAX_PAUSE = 16  # most bracket checks a failed completion pauses completions
+CG_STEPS = 10  # most conjugate-gradient steps of a completion
+CG_TOL = 1e-13  # residual, relative to the right-hand side, that ends them
 UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
 ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
 ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
@@ -237,25 +245,130 @@ class _Bracket(NamedTuple):
     gap: float  # (U - L) / |L|
 
 
-def _closed_bracket(model: MatrixModel, x: np.ndarray, u: np.ndarray) -> _Bracket | None:
-    """The bracket of an iterate X and multiplier u, in the loop's
-    coordinates, when it closes and its candidate passes the certificate's
-    eigen tests; else None.
+def _polish(t: DenseTensor, x: np.ndarray) -> np.ndarray:
+    """A unit x moved towards a C-eigenpair g(x) = mu x, g = partial_map, by a
+    safeguarded Newton ascent.
+
+    A Newton step linearizes the eigen residual g - mu x, mu = x^H g, with
+    the Wirtinger derivatives A = dg/dx and B = dg/dconj(x) of g.  The phase
+    of x is free, so the step h is the least-norm one, x^H h = 0: with Q an
+    orthonormal basis of the complement of x and h = Q c, it solves
+    H c = -Q^H g for the real symmetric H of c -> Q^H (A - mu) Q c +
+    Q^H B conj(Q) conj(c), a multiple of the conjugate form's Hessian on
+    the sphere, in 2n - 2 real unknowns.  H's eigenvalues are replaced by
+    minus their moduli, floored at POLISH_FLOOR times the largest: the step
+    is Newton's near a nondegenerate maximum and an ascent direction
+    elsewhere.  A step is kept only if the conjugate form rises, up to its
+    rounding, POLISH_TOL |mu|: the last steps to an eigenpair change the
+    form by less.  The polish ends on a rejected step, on an eigen residual
+    of POLISH_TOL ||T||_F or after POLISH_STEPS steps."""
+    n = t.n
+    tol = POLISH_TOL * t.norm()
+    g = tz.partial_map(t, x)
+    mu = float(np.vdot(x, g).real)
+    for _ in range(POLISH_STEPS):
+        if not np.linalg.norm(g - mu * x) > tol:
+            break
+        a, b = _wirtinger_derivatives(t, x)
+        q = np.linalg.qr(x[:, None], mode="complete")[0][:, 1:]
+        m = q.conj().T @ a @ q - mu * np.eye(n - 1)
+        k = q.conj().T @ b @ q.conj()
+        rhs = q.conj().T @ g
+        hess = np.block([[m.real + k.real, k.imag - m.imag], [m.imag + k.imag, m.real - k.real]])
+        w, v = _eigh(hess)
+        w = np.maximum(np.abs(w), POLISH_FLOOR * np.abs(w).max())
+        step = v @ ((v.T @ np.concatenate([rhs.real, rhs.imag])) / w)
+        y = x + q @ (step[: n - 1] + 1j * step[n - 1 :])
+        y /= np.linalg.norm(y)
+        gy = tz.partial_map(t, y)
+        mu_y = float(np.vdot(y, gy).real)
+        if not mu_y >= mu - POLISH_TOL * abs(mu):
+            break
+        x, g, mu = y, gy, mu_y
+    return rs._canonical_phase(x)
+
+
+def _wirtinger_derivatives(t: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Wirtinger derivatives of g = partial_map(t, .) at x: A = dg/dx,
+    which is Hermitian, and B = dg/dconj(x), which is symmetric."""
+    d, xc = t.half, np.conj(x)
+    head = t.entries
+    for _ in range(d - 1):  # contract x on modes d+2..2d
+        head = np.tensordot(head, x, axes=([head.ndim - 1], [0]))
+    a = head  # modes (i, 2..d, j)
+    for _ in range(d - 1):
+        a = np.tensordot(a, xc, axes=([1], [0]))
+    b = np.tensordot(head, x, axes=([d], [0]))  # modes (i, 2..d)
+    for _ in range(d - 2):
+        b = np.tensordot(b, xc, axes=([b.ndim - 1], [0]))
+    return d * a, (d - 1) * b
+
+
+class _BracketCheck:
+    """The primal-dual bracket check of one solve (_admm), with the state it
+    carries from check to check: the last polished candidate and the pause
+    of the dual completion.
 
     The candidate is the unit x read off the top eigenvector of X as the
-    rank-one certificate reads it; L is the conjugate form at x, a lower
-    bound on the maximum, and U = dual_bound(model, u), computed only once
-    the cheaper eigen tests pass."""
-    t = model.tensor
-    _, v = _eigh(x, "I", il=len(x), iu=len(x))
-    vec = rs._oriented_vector(v[:, 0], model.pi, model.n, model.d, model.frame)
-    value = tz.conj_form_eval(t, vec)
-    pair = EigenPair(value.real, vec)
-    res = eigen_residual(t, pair)
-    if not _passes_eigen_tests(t, value, res):
-        return None
-    gap = _relative_gap(dual_bound(model, u), pair.value)
-    return _Bracket(pair, res, gap) if gap <= GAP_TOL else None
+    rank-one certificate reads it, polished (_polish) from it or from the
+    last check's polished x, whichever has the larger conjugate form; the
+    polished x is kept only if its form is no lower than the unpolished
+    one's.  L is the conjugate form at the candidate, a lower bound on the
+    maximum.  Once the candidate passes the certificate's eigen tests, U is
+    the smaller of dual_bound(model, u) and, when that misses GAP_TOL by
+    less than COMPLETE_GATE, the completed bound (_completed_bound).  A
+    completion that does not close the bracket pauses completions for 1, 2,
+    4, ... up to COMPLETE_MAX_PAUSE checks.  The loop checks every
+    BRACKET_EVERY passes while the next check may complete the dual, else
+    every ADAPT_EVERY passes (due), so that solves far from closing pay for
+    no more checks than that."""
+
+    def __init__(self, model: MatrixModel):
+        self.model = model
+        self.polished: EigenPair | None = None
+        self.pause = self.skip = 0
+        self.eager = True  # whether the next check may complete the dual
+
+    def due(self, passes: int) -> bool:
+        """Whether the loop checks after this many passes: every
+        BRACKET_EVERY passes up to the first check and while the last one
+        was within COMPLETE_GATE with completions not paused, else every
+        ADAPT_EVERY passes."""
+        return passes % ADAPT_EVERY == 0 or (passes % BRACKET_EVERY == 0 and self.eager)
+
+    def __call__(self, x: np.ndarray, u: np.ndarray) -> _Bracket | None:
+        """The bracket of an iterate X and multiplier u, in the loop's
+        coordinates, when it closes; else None."""
+        model, t = self.model, self.model.tensor
+        _, v = _eigh(x, "I", il=len(x), iu=len(x))
+        read = rs._oriented_vector(v[:, 0], model.pi, model.n, model.d, model.frame)
+        read_value = tz.conj_form_eval(t, read)
+        start = read
+        if self.polished is not None and self.polished.value > read_value.real:
+            start = self.polished.vector
+        polished = _polish(t, start)
+        value = tz.conj_form_eval(t, polished)
+        self.polished = EigenPair(value.real, polished)
+        # the larger form first, the polished x on a tie; the first to pass the tests
+        for vec, value in sorted(((polished, value), (read, read_value)), key=lambda c: -c[1].real):
+            pair = EigenPair(value.real, vec)
+            res = eigen_residual(t, pair)
+            if _passes_eigen_tests(t, value, res):
+                break
+        else:
+            self.eager = False
+            return None
+        dual = _dual_matrix(model, u)
+        gap = _relative_gap(_top_eigenvalue(dual), pair.value)
+        if GAP_TOL < gap < COMPLETE_GATE:
+            if self.skip:
+                self.skip -= 1
+            else:
+                gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
+                if gap > GAP_TOL:
+                    self.pause = self.skip = min(2 * self.pause or 1, COMPLETE_MAX_PAUSE)
+        self.eager = gap < COMPLETE_GATE and not self.skip
+        return _Bracket(pair, res, gap) if gap <= GAP_TOL else None
 
 
 def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
@@ -272,8 +385,10 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     and clears the history.  `iterations` counts map evaluations, rejected
     extrapolations included, and max_iter caps them.
 
-    Every ADAPT_EVERY passes, before the penalty check, the loop checks the
-    primal-dual bracket of the current X and u (_closed_bracket) and stops
+    Every BRACKET_EVERY or ADAPT_EVERY passes (_BracketCheck.due), before
+    any penalty check (every ADAPT_EVERY passes), the loop checks the
+    primal-dual bracket of the current X and u (_BracketCheck), which
+    leaves the iterates as they are, and stops
     with "gap" once it closes; the report's X is then the rank-one lift of
     the bracket's x, which is exactly feasible and has <C, X> = L, and it
     carries the eigenpair, its residual and the gap (U - L) / |L|.  The loop
@@ -310,6 +425,7 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
 
     cur = step(np.stack([project_affine(np.zeros_like(c)), np.zeros_like(c)]))
     history = _Anderson(cur.image)
+    check = _BracketCheck(model)
     passes = pause = skip = 0
     while True:
         if max(cur.primal, cur.dual) <= opts.tol:
@@ -326,11 +442,12 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
             break
         passes += 1
         factor = 1.0
-        if passes % ADAPT_EVERY == 0:
-            bracket = _closed_bracket(model, cur.x, beta * cur.image[1])
+        if check.due(passes):
+            bracket = check(cur.x, beta * cur.image[1])
             if bracket is not None:
                 stop = "gap"
                 break
+        if passes % ADAPT_EVERY == 0:
             if cur.primal > ADAPT_RATIO * cur.dual:
                 factor = 2.0
             elif cur.dual > ADAPT_RATIO * cur.primal:
@@ -467,7 +584,13 @@ def _passes_eigen_tests(t: DenseTensor, value: complex, res: float) -> bool:
 
 def dual_bound(model: MatrixModel, u: np.ndarray) -> float:
     """An upper bound on <C, X> over the SDP's feasible set, hence on the
-    largest C-eigenvalue, from an ADMM multiplier u.
+    largest C-eigenvalue, from an ADMM multiplier u: the top eigenvalue of
+    C - W for the W of _dual_matrix."""
+    return _top_eigenvalue(_dual_matrix(model, u))
+
+
+def _dual_matrix(model: MatrixModel, u: np.ndarray) -> np.ndarray:
+    """C - W for an ADMM multiplier u, in the loop's coordinates.
 
     W = -(u - P(u)) - t (I - P(I)), with P the projection onto M_pi(CPS) and
     t = <C - u, P(I)> / ||P(I)||^2, is orthogonal to M_pi(CPS).  So every
@@ -478,9 +601,59 @@ def dual_bound(model: MatrixModel, u: np.ndarray) -> float:
     """
     c, p_eye = model.c, model.p_eye
     t = float(np.vdot(p_eye, c - u).real) / float(np.vdot(p_eye, p_eye).real)
-    w = model.project(u) - u - t * (np.eye(len(c), dtype=c.dtype) - p_eye)
-    top, _ = _eigh(c - w, "I", vectors=False, il=len(w), iu=len(w))
+    return c - (model.project(u) - u - t * (np.eye(len(c), dtype=c.dtype) - p_eye))
+
+
+def _top_eigenvalue(h: np.ndarray) -> float:
+    top, _ = _eigh(h, "I", vectors=False, il=len(h), iu=len(h))
     return float(top[-1])
+
+
+def _completed_bound(model: MatrixModel, dual: np.ndarray, vec: np.ndarray) -> float:
+    """lambda_max(C - W - D) for the dual matrix C - W of _dual_matrix and a
+    unit candidate x: an upper bound on the largest C-eigenvalue for every
+    Hermitian D orthogonal to M_pi(CPS), however D is computed.
+
+    With v the lift factor of x in the loop's coordinates (X = v v^H is the
+    rank-one lift, so L = v^H (C - W) v = <C, X>), D is the least-norm such
+    matrix with D v = r = (C - W - L I) v: then v is an eigenvector of
+    C - W - D with eigenvalue L, and when the multiplier is near the optimum
+    the bound is L itself.  D = (I - P) S(a) with S(a) = herm(a v^H) and a
+    the solution of S^T (I - P) S a = r, found by conjugate gradients in
+    real inner products, one projection P per step.  That operator is
+    singular along the lift's tangent directions, v among them; r is
+    orthogonal to them when x is a C-eigenvector with eigenvalue L, and CG
+    stops where a search direction meets them."""
+    v = rs._lift_factor(vec, model.pi, model.d)
+    if model.frame is not None:  # U^H a a^H U is real: so is U^H a, up to its phase
+        v = model.frame.conj().T @ v
+        top = v[np.argmax(np.abs(v))]
+        v = (v * (np.conj(top) / abs(top))).real
+    dual_v = dual @ v
+    r = dual_v - np.vdot(v, dual_v).real * v
+
+    def image(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(I - P) S(a) and its product with v."""
+        s = np.outer(a, v.conj())
+        s = 0.5 * (s + s.conj().T)
+        s -= model.project(s)
+        return s, s @ v
+
+    delta, p = np.zeros_like(dual), r.copy()
+    rr = r_norm = float(np.vdot(r, r).real)
+    for _ in range(CG_STEPS):
+        if rr <= CG_TOL**2 * r_norm:
+            break
+        s, q = image(p)
+        curvature = float(np.vdot(p, q).real)
+        if curvature <= CG_TOL * float(np.vdot(p, p).real):  # breakdown: A is singular along p
+            break
+        alpha = rr / curvature
+        delta += alpha * s
+        r = r - alpha * q
+        rr, rr_old = float(np.vdot(r, r).real), rr
+        p = r + (rr / rr_old) * p
+    return _top_eigenvalue(dual - delta)
 
 
 def eigen_residual(t: DenseTensor, pair: EigenPair) -> float:

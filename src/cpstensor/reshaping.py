@@ -313,10 +313,15 @@ def _oriented_vector(
 
 
 def _rank_one_lift(vec: np.ndarray, pi: tuple[int, ...], d: int) -> np.ndarray:
-    """M_pi(conj(x)^{ox d} (x) x^{ox d}) for a unit x: a trace-one rank-one PSD
-    matrix of M_pi(CPS).  Source modes of T's first half carry conj(x), those
-    of the second half x."""
-    factors = [np.conj(vec) if p <= d else vec for p in pi]
-    return np.outer(
-        functools.reduce(np.kron, factors[:d]), functools.reduce(np.kron, factors[d:])
-    )
+    """M_pi(conj(x)^{ox d} (x) x^{ox d}) = a a^H for a unit x, with a =
+    _lift_factor(x): a trace-one rank-one PSD matrix of M_pi(CPS)."""
+    a = _lift_factor(vec, pi, d)
+    return np.outer(a, np.conj(a))
+
+
+def _lift_factor(vec: np.ndarray, pi: tuple[int, ...], d: int) -> np.ndarray:
+    """The unit a with M_pi(conj(x)^{ox d} (x) x^{ox d}) = a a^H: the Kronecker
+    product of the row modes' factors.  Source modes of T's first half carry
+    conj(x), those of the second half x; by the conjugate condition the
+    column modes carry the conjugate factors."""
+    return functools.reduce(np.kron, [np.conj(vec) if p <= d else vec for p in pi[:d]])
