@@ -118,7 +118,7 @@ class SolveReport:
     rho: float = 0.0
     stop_reason: str = ""  # "tol", "gap", "max_iter", "non-finite" or "diverged"
     beta_final: float = 0.0  # the ADMM penalty of the last iteration
-    optimality_gap: float = math.nan  # (dual bound - lambda) / |lambda| when certified
+    optimality_gap: float = math.nan  # max(0, dual bound - lambda) / |lambda| when certified
     certificate: str = ""  # "rank_one", "bracket", or "" when uncertified
     multiplier: np.ndarray | None = field(default=None, repr=False)  # final u, loop coordinates
 
@@ -197,6 +197,28 @@ class _Step(NamedTuple):
 def _real(a: np.ndarray) -> np.ndarray:
     """A contiguous array as a flat real vector: Re<a, b> is its dot product."""
     return a.reshape(-1).view(np.float64)
+
+
+class _Backoff:
+    """The pauses of a safeguarded step after failures: a failure skips the
+    next 1, 2, 4, ... up to max_pause chances, a success resets the pause."""
+
+    def __init__(self, max_pause: int):
+        self.max_pause = max_pause
+        self.pause = self.skip = 0
+
+    def ready(self) -> bool:
+        """Whether to try the step at this chance; a skipped one counts down."""
+        if self.skip:
+            self.skip -= 1
+            return False
+        return True
+
+    def fail(self) -> None:
+        self.pause = self.skip = min(2 * self.pause or 1, self.max_pause)
+
+    def reset(self) -> None:
+        self.pause = 0
 
 
 class _Anderson:
@@ -326,7 +348,7 @@ class _BracketCheck:
     def __init__(self, model: MatrixModel):
         self.model = model
         self.polished: EigenPair | None = None
-        self.pause = self.skip = 0
+        self.completions = _Backoff(COMPLETE_MAX_PAUSE)
         self.eager = True  # whether the next check may complete the dual
 
     def due(self, passes: int) -> bool:
@@ -360,14 +382,11 @@ class _BracketCheck:
             return None
         dual = _dual_matrix(model, u)
         gap = _relative_gap(_top_eigenvalue(dual), pair.value)
-        if GAP_TOL < gap < COMPLETE_GATE:
-            if self.skip:
-                self.skip -= 1
-            else:
-                gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
-                if gap > GAP_TOL:
-                    self.pause = self.skip = min(2 * self.pause or 1, COMPLETE_MAX_PAUSE)
-        self.eager = gap < COMPLETE_GATE and not self.skip
+        if GAP_TOL < gap < COMPLETE_GATE and self.completions.ready():
+            gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
+            if gap > GAP_TOL:
+                self.completions.fail()
+        self.eager = gap < COMPLETE_GATE and not self.completions.skip
         return _Bracket(pair, res, gap) if gap <= GAP_TOL else None
 
 
@@ -426,7 +445,8 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     cur = step(np.stack([project_affine(np.zeros_like(c)), np.zeros_like(c)]))
     history = _Anderson(cur.image)
     check = _BracketCheck(model)
-    passes = pause = skip = 0
+    extrapolations = _Backoff(AA_MAX_PAUSE)
+    passes = 0
     while True:
         if max(cur.primal, cur.dual) <= opts.tol:
             stop = "tol"
@@ -457,14 +477,13 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
             beta *= factor
             cur.image[1] /= factor  # the multiplier u = beta (u / beta) carries over
             history.clear()
-        elif skip:
-            skip -= 1
-        elif history.count:
+        elif extrapolations.ready() and history.count:
             trial = step(history.extrapolate(cur))
             if trial.residual_norm < cur.residual_norm:
-                nxt, pause = trial, 0
+                nxt = trial
+                extrapolations.reset()
             else:
-                pause = skip = min(2 * pause or 1, AA_MAX_PAUSE)
+                extrapolations.fail()
         if nxt is None:
             if evaluations >= opts.max_iter:
                 stop = "max_iter"
@@ -571,8 +590,12 @@ def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
 
 
 def _relative_gap(upper: float, value: float) -> float:
-    """(U - lambda) / |lambda| for an upper bound U on the largest C-eigenvalue."""
-    return (upper - value) / max(abs(value), 1e-300)
+    """(U - lambda) / |lambda| for an upper bound U on the largest C-eigenvalue
+    and a lower bound lambda, floored at 0: the relative width of the
+    bracket [lambda, max(lambda, U)].  A completed bound equals lambda in
+    exact arithmetic once it closes the bracket, so U and lambda, each
+    computed to a few ulps, can read in either order."""
+    return max(upper - value, 0.0) / max(abs(value), 1e-300)
 
 
 def _passes_eigen_tests(t: DenseTensor, value: complex, res: float) -> bool:

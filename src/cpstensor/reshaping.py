@@ -250,9 +250,10 @@ def extract_rank_one_vector(
 ) -> tuple[np.ndarray, float]:
     """Recover (unit x, real lam) with X ~ lam * M_pi(conj(x)^{ox d} (x) x^{ox d}).
 
-    For any valid pi such a matrix equals lam * u u^H where u vectorizes the
-    tensor product of the first-block factors (each factor is conj(x) or x
-    according to whether its source mode sits in the first half).  The top
+    For a pi that satisfies the conjugate condition such a matrix equals
+    lam * u u^H where u vectorizes the tensor product of the first-block
+    factors (each factor is conj(x) or x according to whether its source
+    mode sits in the first half); any other pi raises BadPermutation.  The top
     eigenvector therefore devectorizes to a rank-one order-d tensor, whose
     leading singular vector of the mode-1 unfolding recovers x up to phase;
     this stays accurate on solver iterates that are only approximately
@@ -265,6 +266,8 @@ def extract_rank_one_vector(
     if x.shape != (n**d, n**d):
         raise SizeMismatch(f"expected shape {(n ** d, n ** d)}, got {x.shape}")
     pi = validate_permutation(pi, 2 * d)
+    if not satisfies_conj_condition(pi, d):
+        raise BadPermutation(f"{pi} violates the conjugate (Hermitian) condition")
     return _extract_from_eig(x, herm_eig(x), pi, n, d, tol)
 
 
@@ -313,8 +316,9 @@ def _oriented_vector(
 
 
 def _rank_one_lift(vec: np.ndarray, pi: tuple[int, ...], d: int) -> np.ndarray:
-    """M_pi(conj(x)^{ox d} (x) x^{ox d}) = a a^H for a unit x, with a =
-    _lift_factor(x): a trace-one rank-one PSD matrix of M_pi(CPS)."""
+    """M_pi(conj(x)^{ox d} (x) x^{ox d}) = a a^H for a unit x and a pi that
+    satisfies the conjugate condition, with a = _lift_factor(x): a
+    trace-one rank-one PSD matrix of M_pi(CPS)."""
     a = _lift_factor(vec, pi, d)
     return np.outer(a, np.conj(a))
 

@@ -10,7 +10,6 @@ import pytest
 import cpstensor.applications as ap
 import cpstensor.cli as cli
 import cpstensor.errors as errors
-import cpstensor.rank_one as r1
 import cpstensor.tensor as tz
 from cpstensor.cli import main
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
@@ -129,11 +128,12 @@ class TestRank1:
         assert payload["model"] == "nuclear"
         assert payload["certified"] is True
 
-    def test_stop_reason_and_final_penalty(self, rank_one_file, capsys, monkeypatch):
-        # without the bracket check, which closes this bracket at once, the
-        # solve stops on tol and certifies rank-one
-        monkeypatch.setattr(r1._BracketCheck, "__call__", lambda self, x, u: None)
-        main(["rank1", rank_one_file])
+    def test_stop_reason_and_final_penalty(self, rank_one_file, tmp_path, capsys):
+        # at n = 1 the solve reaches tol before the first bracket check and
+        # certifies rank-one
+        path = tmp_path / "n1.json"
+        tz.save_tensor(tz.rank_one_cps(1.5, np.ones(1, dtype=complex), 2), path)
+        main(["rank1", str(path)])
         payload = json.loads(capsys.readouterr().out)
         assert (payload["stop_reason"], payload["certificate"]) == ("tol", "rank_one")
         assert payload["beta_final"] > 0
@@ -148,9 +148,7 @@ class TestRank1:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["stop_reason"], payload["certificate"]) == ("gap", "bracket")
         assert payload["converged"] is True and payload["rank_one_ratio"] == 0.0
-        # the completed bound and L are each computed to a few ulps; here
-        # (U - L) / |L| reads -1.5e-16
-        assert -1e-14 <= payload["optimality_gap"] <= 1e-12
+        assert 0.0 <= payload["optimality_gap"] <= 1e-12
 
     def test_diverged_exits_4(self, tmp_path, capsys):
         # rho far below ||C||_2 leaves the nuclear model unbounded

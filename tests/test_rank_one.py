@@ -14,11 +14,17 @@ from conftest import random_cps_tensor, random_ps_tensor, random_unit
 FAST = r1.SolverOptions()
 
 
-def _no_bracket(monkeypatch):
-    """Switch the loop's bracket check off, so that a solve runs to tol and
-    takes the rank-one certificate: with the check, every instance here
-    closes its bracket within its first few checks."""
-    monkeypatch.setattr(r1._BracketCheck, "__call__", lambda self, x, u: None)
+def _as_tol_stop(report):
+    """A report of a loop that closed its bracket as one that stopped on tol,
+    before certification: X (the rank-one lift of the bracket's x) and the
+    multiplier.  The rank-one certificate is tested on it, since with the
+    bracket check only n = 1 solves still stop on tol certified."""
+    return r1.SolveReport(
+        X=report.X, objective=report.linear_objective, linear_objective=report.linear_objective,
+        primal_residual=report.primal_residual, dual_residual=report.dual_residual,
+        iterations=report.iterations, converged=True, model=report.model, rho=report.rho,
+        stop_reason="tol", beta_final=report.beta_final, multiplier=report.multiplier,
+    )
 
 
 class TestBuildMatrixModel:
@@ -170,20 +176,29 @@ class TestStopReason:
         assert report.to_dict()["stop_reason"] == "gap"
         assert report.to_dict()["beta_final"] == report.beta_final
 
-    def test_tol(self, monkeypatch):
+    def test_tol(self):
         # the order-6 US lift of benchmark a closes its bracket at the first
         # check (5 evaluations); a coarse tol stops the loop on the residuals
-        # before it, and without the bracket check the loop runs to the
-        # default tol and certifies rank-one
+        # before it
         model = r1.build_matrix_model(ap.us_lift(ap.useig_benchmark("a")))
         coarse = r1.solve_sdp(model, r1.SolverOptions(tol=2.0))
         assert coarse.stop_reason == "tol" and coarse.converged
         assert not coarse.certified
-        _no_bracket(monkeypatch)
-        report = r1.solve_sdp(model, FAST)
-        assert report.stop_reason == "tol" and report.converged
-        assert report.certified and report.certificate == "rank_one"
-        assert report.to_dict()["stop_reason"] == "tol"
+        assert coarse.to_dict()["stop_reason"] == "tol"
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tol_before_the_first_check_certifies_rank_one(self, d):
+        # at n = 1 the lift is the 1 x 1 matrix [1]: both solves reach the
+        # default tol before the first bracket check, and the rank-one
+        # certificate certifies them
+        t = random_cps_tensor(1, 0, d=d)
+        model = r1.build_matrix_model(t)
+        for solve, evaluations in ((r1.solve_sdp, 1), (r1.solve_nuclear, 4)):
+            report = solve(model, opts=FAST)
+            assert report.stop_reason == "tol" and report.iterations == evaluations
+            assert report.certified and report.certificate == "rank_one"
+            assert report.eigenpair.value == pytest.approx(t.entries.real.item(), rel=1e-12)
+            assert report.optimality_gap <= r1.GAP_TOL
 
     def test_max_iter(self):
         # the cap falls before the first bracket check, which closes this
@@ -215,11 +230,13 @@ class TestEvaluations:
         return calls
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_iterations_count_prox_calls(self, monkeypatch, d):
+    def test_iterations_count_prox_calls(self, monkeypatch, d, gap_tensor):
         # one prox (one eigh) per map evaluation, rejected extrapolations
-        # included, over a whole solve to tol without the bracket check
-        _no_bracket(monkeypatch)
-        model = r1.build_matrix_model(random_cps_tensor(3 if d == 2 else 2, 30, d=d))
+        # included, over a whole solve to tol: the maxima of the gap tensor
+        # and of benchmark b's order-6 lift are degenerate, so their brackets
+        # do not close and their solves run to tol (7/7 and 15/18 evaluations)
+        t = gap_tensor if d == 2 else ap.us_lift(ap.useig_benchmark("b"))
+        model = r1.build_matrix_model(t)
         calls = self._counted_prox(monkeypatch)
         for solve in (r1.solve_sdp, r1.solve_nuclear):
             calls[0] = 0
@@ -381,11 +398,9 @@ class TestBracketCertificate:
         expected = lam - report.rho if nuclear else lam
         assert report.objective == pytest.approx(expected, rel=1e-12)
         assert report.eigen_res <= r1.EIG_TOL * max(1.0, model.tensor.norm())
-        # U and L are each computed to a few ulps: on the radar instance the
-        # closed bracket reads (U - L) / |L| = -1.2e-15
-        slack = 1e-14
-        assert -slack <= report.optimality_gap <= r1.GAP_TOL
-        assert r1.dual_bound(model, report.multiplier) >= lam - slack * abs(lam)
+        assert 0.0 <= report.optimality_gap <= r1.GAP_TOL
+        # the multiplier's own bound, computed to a few ulps like L
+        assert r1.dual_bound(model, report.multiplier) >= lam - 1e-14 * abs(lam)
 
     def test_nuclear_default_rho_certifies(self):
         # at the default rho this solve ended uncertified after 249
@@ -415,7 +430,8 @@ class TestSpectralCalls:
         # for a completed bound.  A bracket certificate needs nothing more; a
         # rank-one one takes a herm_eig (which also gives ||X||_*) and the
         # top eigenvalue for the gap
-        big = 16
+        n = 4
+        big = n * n
         calls = []
 
         def counted(name, fn, square_only=False):
@@ -430,7 +446,7 @@ class TestSpectralCalls:
         eigh = r1._eigh
 
         def kernel(h, select="A", vectors=True, **bounds):
-            if len(h) != big:  # a polish step's Hessian, 2n - 2 square
+            if len(h) == 2 * n - 2:  # a polish step's Hessian
                 pass
             elif select == "I" and bounds == {"il": len(h), "iu": len(h)}:
                 calls.append("top eigenpair" if vectors else "top eigenvalue")
@@ -445,7 +461,7 @@ class TestSpectralCalls:
         herm_eig = counted("herm_eig", r1.herm_eig)
         monkeypatch.setattr(r1, "herm_eig", herm_eig)
         monkeypatch.setattr(rs, "herm_eig", herm_eig)
-        model = r1.build_matrix_model(random_cps_tensor(4, 27))
+        model = r1.build_matrix_model(random_cps_tensor(n, 27))
         assert calls == ["norm"]
         # the candidate fails the eigen tests at the first checks (after 5
         # and, for the SDP, 10, 20 and 30 passes); at the next, the plain
@@ -456,10 +472,9 @@ class TestSpectralCalls:
         calls.clear()
         assert r1.solve_sdp(model, FAST).certificate == "bracket"
         assert calls == ["top eigenpair"] * 5 + ["top eigenvalue"] * 2
-        _no_bracket(monkeypatch)
-        model = r1.build_matrix_model(ap.random_cps(4, 8000))
+        stopped = _as_tol_stop(r1.solve_sdp(model, FAST))
         calls.clear()
-        assert r1.solve_sdp(model, FAST).certificate == "rank_one"
+        assert r1.certify_and_recover(stopped, model).certificate == "rank_one"
         assert calls == ["herm_eig", "top eigenvalue"]
 
 
@@ -637,27 +652,24 @@ class TestCertifyAndRecover:
         assert r1.certify_and_recover(report, model).certified
         assert count[0] == 0
 
-    def test_one_projector_build_per_solve(self, monkeypatch):
-        # the solve and the rank-one certificate's subspace test share one
-        # kernel; a bracket certificate, its dual completion included, has
-        # no subspace test
+    def test_one_projector_build_per_solve(self):
+        # a bracket certificate, its dual completion included, has no
+        # subspace test; the rank-one certificate's builds one projector
         model = r1.build_matrix_model(ap.random_cps(4, 8000))
         rs.cps_projector.cache_clear()
-        assert r1.solve_nuclear(model, opts=FAST).certificate == "bracket"
+        report = r1.solve_nuclear(model, opts=FAST)
+        assert report.certificate == "bracket"
         assert rs.cps_projector.cache_info().misses == 0
-        _no_bracket(monkeypatch)
-        rs.cps_projector.cache_clear()
-        assert r1.solve_sdp(model, FAST).certificate == "rank_one"
+        assert r1.certify_and_recover(_as_tol_stop(report), model).certificate == "rank_one"
         assert rs.cps_projector.cache_info().misses == 1
 
     def test_real_eigendecomposition_at_order_four(self, monkeypatch):
         # d = 2 certifies on the real U^H X U and agrees with the complex route
-        _no_bracket(monkeypatch)
         seen = []
         herm_eig = r1.herm_eig
         monkeypatch.setattr(r1, "herm_eig", lambda x: seen.append(x.dtype) or herm_eig(x))
         model = r1.build_matrix_model(ap.random_cps(4, 8000))
-        report = r1.solve_sdp(model, FAST)
+        report = r1.certify_and_recover(_as_tol_stop(r1.solve_sdp(model, FAST)), model)
         assert report.certificate == "rank_one" and seen == [np.float64]
         vec, _ = rs.extract_rank_one_vector(report.X, model.pi, model.n, model.d)
         assert np.max(np.abs(report.eigenpair.vector - vec)) <= 1e-12

@@ -281,6 +281,15 @@ class TestExtraction:
         with pytest.raises(SizeMismatch):
             rs.extract_rank_one_vector(np.eye(4), rs.canonical_pi(2), 3, 2)
 
+    def test_pi_without_conjugate_condition(self):
+        # only under the conjugate condition is M_pi of a rank-one CPS
+        # tensor a a^H; (1,3,2,4) puts both conjugated modes in the rows
+        pi = (1, 3, 2, 4)
+        assert not rs.satisfies_conj_condition(pi, 2)
+        x = rs.matricize_pi(tz.rank_one_cps(1.0, random_unit(2, np.random.default_rng(18)), 2), pi)
+        with pytest.raises(BadPermutation):
+            rs.extract_rank_one_vector(x, pi, 2, 2)
+
     def test_negative_coefficient(self):
         rng = np.random.default_rng(13)
         a = random_unit(2, rng)
