@@ -64,7 +64,6 @@ from .rank_one import (
     best_rank_one_error,
     brute_force_max_eig,
     build_matrix_model,
-    certify_and_recover,
     eigen_residual,
     project_cps_subspace,
     solve_nuclear,

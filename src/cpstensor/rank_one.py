@@ -11,9 +11,12 @@ convex relaxations are solved by ADMM:
 
 At d = 2 the loop runs on the real symmetric matrices Y = U^H X U of
 U = reshaping.real_frame(n); other orders keep X itself.  A solve is
-certified either through a closed primal-dual bracket, checked during the
-loop, or, after the loop, rank-one through the modulus ratio of the two top
-eigenvalues; certified solves yield an eigenpair of the original tensor.
+certified by one certificate, a closed primal-dual bracket: a unit x whose
+conjugate form is within GAP_TOL of a dual upper bound.  The loop checks it
+on a schedule and once more at a tol or max_iter stop, where the candidates
+are read from X's top eigenspace, so that a degenerate maximum, whose X has
+rank above one, certifies too; certified solves yield an eigenpair of the
+original tensor.
 """
 
 from __future__ import annotations
@@ -28,17 +31,14 @@ import numpy as np
 from .errors import (
     BadPermutation,
     NotCps,
-    NotInSubspace,
-    NotRankOne,
     NotUnit,
     RangeError,
     SizeMismatch,
     UnsupportedDimension,
-    ZeroMatrix,
 )
 from . import reshaping as rs
 from . import tensor as tz
-from .linalg import _eigh, _spectral_prox, herm_eig
+from .linalg import _eigh, _spectral_prox
 from .tensor import DenseTensor, EigenPair
 
 log = logging.getLogger(__name__)
@@ -96,11 +96,6 @@ class MatrixModel:
         return self.n**self.d
 
 
-def _to_frame(x: np.ndarray, frame: np.ndarray | None) -> np.ndarray:
-    """U^H X U, real: a frame is only built where M_pi(CPS) is real in it."""
-    return x if frame is None else (frame.conj().T @ x @ frame).real
-
-
 @dataclass
 class SolveReport:
     X: np.ndarray
@@ -110,7 +105,7 @@ class SolveReport:
     dual_residual: float
     iterations: int
     converged: bool
-    rank_one_ratio: float = math.inf
+    rank_one_ratio: float = math.inf  # |lambda_2| / lambda_1 of X; 0 for a lift, inf unchecked
     eigenpair: EigenPair | None = None
     eigen_res: float = math.inf
     certified: bool = False
@@ -119,7 +114,7 @@ class SolveReport:
     stop_reason: str = ""  # "tol", "gap", "max_iter", "non-finite" or "diverged"
     beta_final: float = 0.0  # the ADMM penalty of the last iteration
     optimality_gap: float = math.nan  # max(0, dual bound - lambda) / |lambda| when certified
-    certificate: str = ""  # "rank_one", "bracket", or "" when uncertified
+    certificate: str = ""  # "bracket", or "" when uncertified
     multiplier: np.ndarray | None = field(default=None, repr=False)  # final u, loop coordinates
 
     def to_dict(self) -> dict:
@@ -168,7 +163,8 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
         frame, project = rs.real_frame(t.n), rs.real_cps_projector(t.n, pi)
     else:
         frame, project = None, rs.cps_projector(t.n, d, pi)
-    c = _to_frame(data, frame)
+    # U^H C U is real: a frame is only built where M_pi(CPS) is real in it
+    c = data if frame is None else (frame.conj().T @ data @ frame).real
     return MatrixModel(
         tensor=t, pi=pi, n=t.n, d=d, C=data, frame=frame, c=c, project=project,
         p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(np.linalg.norm(data, 2)),
@@ -331,19 +327,24 @@ class _BracketCheck:
     carries from check to check: the last polished candidate and the pause
     of the dual completion.
 
-    The candidate is the unit x read off the top eigenvector of X as the
-    rank-one certificate reads it, polished (_polish) from it or from the
-    last check's polished x, whichever has the larger conjugate form; the
-    polished x is kept only if its form is no lower than the unpolished
-    one's.  L is the conjugate form at the candidate, a lower bound on the
-    maximum.  Once the candidate passes the certificate's eigen tests, U is
+    A check reads unit candidates x off eigenvectors of X (the top left
+    singular vector of the eigenvector's mode-1 unfolding) and polishes
+    each (_polish); the first is polished from the read x or from the last
+    check's polished x, whichever has the larger conjugate form.  L is the
+    conjugate form at a read or polished candidate that passes the eigen
+    tests, the largest first (_close), a lower bound on the maximum.  U is
     the smaller of dual_bound(model, u) and, when that misses GAP_TOL by
     less than COMPLETE_GATE, the completed bound (_completed_bound).  A
     completion that does not close the bracket pauses completions for 1, 2,
     4, ... up to COMPLETE_MAX_PAUSE checks.  The loop checks every
     BRACKET_EVERY passes while the next check may complete the dual, else
     every ADAPT_EVERY passes (due), so that solves far from closing pay for
-    no more checks than that."""
+    no more checks than that, and once more at a tol or max_iter stop
+    (final)."""
+
+    FINAL_PAIRS = 4  # most top eigenpairs of X the final check reads
+    FINAL_RATIO = 0.5  # least eigenvalue, relative to the top one, of the eigenspace read
+    FINAL_MIXES = 8  # random combinations of that eigenspace read as candidates
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -360,37 +361,80 @@ class _BracketCheck:
 
     def __call__(self, x: np.ndarray, u: np.ndarray) -> _Bracket | None:
         """The bracket of an iterate X and multiplier u, in the loop's
-        coordinates, when it closes; else None."""
-        model, t = self.model, self.model.tensor
+        coordinates, read off X's top eigenvector, when it closes; else None."""
         _, v = _eigh(x, "I", il=len(x), iu=len(x))
-        read = rs._oriented_vector(v[:, 0], model.pi, model.n, model.d, model.frame)
-        read_value = tz.conj_form_eval(t, read)
-        start = read
-        if self.polished is not None and self.polished.value > read_value.real:
-            start = self.polished.vector
-        polished = _polish(t, start)
-        value = tz.conj_form_eval(t, polished)
-        self.polished = EigenPair(value.real, polished)
-        # the larger form first, the polished x on a tie; the first to pass the tests
-        for vec, value in sorted(((polished, value), (read, read_value)), key=lambda c: -c[1].real):
+        return self._close(v, u, final=False)
+
+    def final(self, x: np.ndarray, u: np.ndarray) -> tuple[_Bracket | None, float]:
+        """The check of the loop's last iterate X, and |lambda_2| / lambda_1
+        of X's two largest eigenvalues (0 at N = 1).
+
+        With two maximizers or more, X has rank above one and its top
+        eigenvector mixes them; each maximizer's lift factor lies in the
+        eigenspace of the near-top eigenvalues.  So the candidates are read
+        off the top eigenvector and off FINAL_MIXES complex combinations,
+        drawn with a fixed seed, of the eigenvectors of the FINAL_PAIRS
+        largest eigenvalues that reach FINAL_RATIO of the top one.  The
+        eigenspace is chosen by eigenvalue, as the nuclear X is not PSD.  A
+        completion is tried whatever the pause."""
+        size = len(x)
+        w, v = _eigh(x, "I", il=max(1, size - self.FINAL_PAIRS + 1), iu=size)
+        ratio = abs(w[-2]) / w[-1] if size > 1 else 0.0
+        v = v[:, w >= self.FINAL_RATIO * w[-1]]
+        if v.shape[1] > 1:
+            mix = np.random.default_rng(0).standard_normal((2, v.shape[1], self.FINAL_MIXES))
+            v = np.column_stack([v[:, -1], v @ (mix[0] + 1j * mix[1])])
+        return self._close(v, u, final=True), ratio
+
+    def _close(self, reads: np.ndarray, u: np.ndarray, final: bool) -> _Bracket | None:
+        """The bracket of the candidates read off the columns of reads, when
+        it closes; the first column's is polished from its read x or the
+        last polished x.  A final check tries every candidate that passes
+        the eigen tests, in order of L, as the completed bound depends on
+        the candidate; a check in the loop tries the first alone."""
+        model, t = self.model, self.model.tensor
+        candidates = []
+        for k, column in enumerate(reads.T):
+            read = rs._oriented_vector(column, model.pi, model.n, model.d, model.frame)
+            read_value = tz.conj_form_eval(t, read)
+            start = read
+            if k == 0 and self.polished is not None and self.polished.value > read_value.real:
+                start = self.polished.vector
+            polished = _polish(t, start)
+            value = tz.conj_form_eval(t, polished)
+            if k == 0:
+                self.polished = EigenPair(value.real, polished)
+            candidates += [(polished, value), (read, read_value)]
+        # the larger form first, the polished x on a tie; those that pass the
+        # tests, or, before the final check, the first of them
+        passing = []
+        for vec, value in sorted(candidates, key=lambda c: -c[1].real):
             pair = EigenPair(value.real, vec)
             res = eigen_residual(t, pair)
             if _passes_eigen_tests(t, value, res):
-                break
-        else:
+                passing.append((pair, res))
+                if not final:
+                    break
+        if not passing:
             self.eager = False
             return None
         dual = _dual_matrix(model, u)
-        gap = _relative_gap(_top_eigenvalue(dual), pair.value)
-        if GAP_TOL < gap < COMPLETE_GATE and self.completions.ready():
-            gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
-            if gap > GAP_TOL:
-                self.completions.fail()
+        upper = _top_eigenvalue(dual)
+        for pair, res in passing:
+            gap = _relative_gap(upper, pair.value)
+            if GAP_TOL < gap < COMPLETE_GATE and (final or self.completions.ready()):
+                gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
+                if gap > GAP_TOL:
+                    self.completions.fail()
+            if gap <= GAP_TOL:
+                break
         self.eager = gap < COMPLETE_GATE and not self.completions.skip
         return _Bracket(pair, res, gap) if gap <= GAP_TOL else None
 
 
-def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
+def _admm(
+    model: MatrixModel, prox, opts: SolverOptions, rho: float | None = None
+) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
     iterate, X = Y at the optimum, accelerated by safeguarded Anderson
     acceleration.
@@ -407,14 +451,18 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     Every BRACKET_EVERY or ADAPT_EVERY passes (_BracketCheck.due), before
     any penalty check (every ADAPT_EVERY passes), the loop checks the
     primal-dual bracket of the current X and u (_BracketCheck), which
-    leaves the iterates as they are, and stops
-    with "gap" once it closes; the report's X is then the rank-one lift of
-    the bracket's x, which is exactly feasible and has <C, X> = L, and it
-    carries the eigenpair, its residual and the gap (U - L) / |L|.  The loop
-    runs on plain arrays in the model's coordinates, whose structure was
-    checked when the model was built; its final X is mapped back by
-    U (.) U^H once, after the loop, and the final multiplier u stays in the
-    loop's coordinates."""
+    leaves the iterates as they are, and stops with "gap" once it closes.
+    A loop stopped on tol or max_iter checks its last iterate once more
+    (_BracketCheck.final).  A closed bracket certifies the solve: the
+    report's X is then the rank-one lift of the bracket's x, which is
+    exactly feasible and has <C, X> = L, and it carries the eigenpair, its
+    residual and the gap (U - L) / |L|.  Otherwise X is the loop's last
+    iterate.  With a nuclear weight rho the objective is
+    <C, X> - rho ||X||_*, which is <C, X> - rho on a lift.  The loop runs
+    on plain arrays in the model's coordinates, whose structure was checked
+    when the model was built; its final X is mapped back by U (.) U^H once,
+    after the loop, and the final multiplier u stays in the loop's
+    coordinates."""
     c, project, p_eye = model.c, model.project, model.p_eye
     p_eye_trace = float(np.trace(p_eye).real)
 
@@ -446,6 +494,7 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
     history = _Anderson(cur.image)
     check = _BracketCheck(model)
     extrapolations = _Backoff(AA_MAX_PAUSE)
+    bracket = None
     passes = 0
     while True:
         if max(cur.primal, cur.dual) <= opts.tol:
@@ -492,28 +541,38 @@ def _admm(model: MatrixModel, prox, opts: SolverOptions) -> SolveReport:
         if factor == 1.0:
             history.push(nxt, cur)
         cur = nxt
-    found = {}
-    if stop == "gap":
+    ratio = math.inf
+    if stop in ("tol", "max_iter"):
+        bracket, ratio = check.final(cur.x, beta * cur.image[1])
+    found = {} if rho is None else dict(model="nuclear", rho=rho)
+    if bracket is not None:
         x = rs._rank_one_lift(bracket.pair.vector, model.pi, model.d)
-        lin = float(np.vdot(model.C, x).real)
-        found = dict(eigenpair=bracket.pair, eigen_res=bracket.residual, optimality_gap=bracket.gap)
+        lin = objective = float(np.vdot(model.C, x).real)
+        if rho is not None:
+            objective -= rho
+        ratio = 0.0
+        found.update(
+            eigenpair=bracket.pair, eigen_res=bracket.residual, optimality_gap=bracket.gap,
+            certified=True, certificate="bracket",
+        )
     else:
         x = cur.x
-        lin = float(np.vdot(c, x).real)
+        lin = objective = float(np.vdot(c, x).real)
+        if rho is not None:
+            objective -= rho * float(np.abs(_eigh(x.copy(), vectors=False)[0]).sum())
         if model.frame is not None:
             x = model.frame @ x @ model.frame.conj().T
     return SolveReport(
-        X=x, objective=lin, linear_objective=lin, primal_residual=cur.primal,
+        X=x, objective=objective, linear_objective=lin, primal_residual=cur.primal,
         dual_residual=cur.dual, iterations=evaluations, converged=stop in ("tol", "gap"),
-        stop_reason=stop, beta_final=beta, multiplier=beta * cur.image[1], **found,
+        rank_one_ratio=ratio, stop_reason=stop, beta_final=beta, multiplier=beta * cur.image[1],
+        **found,
     )
 
 
 def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveReport:
     """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
-    opts = opts or SolverOptions()
-    report = _admm(model, lambda w, beta: _spectral_prox(w), opts)
-    return certify_and_recover(report, model)
+    return _admm(model, lambda w, beta: _spectral_prox(w), opts or SolverOptions())
 
 
 def solve_nuclear(
@@ -529,7 +588,6 @@ def solve_nuclear(
     rho, so certification and the recovered eigenpair are unaffected.  A
     smaller rho is solved as given, with a warning on the package logger.
     """
-    opts = opts or SolverOptions()
     c_norm = model.c_norm
     if rho is None:
         rho = c_norm
@@ -539,54 +597,9 @@ def solve_nuclear(
         log.warning(
             "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm
         )
-    report = _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), opts)
-    report.model, report.rho = "nuclear", rho
-    return certify_and_recover(report, model)
-
-
-def certify_and_recover(report: SolveReport, model: MatrixModel) -> SolveReport:
-    """Attach the certificate and, when it holds, the eigenpair and its
-    optimality gap.
-
-    A loop stopped on "gap" already holds the eigenpair of its closed
-    bracket and the bracket's gap, and X is the pair's unit rank-one lift:
-    the certificate is "bracket", and the nuclear objective is
-    <C, X> - rho, since ||X||_* = 1.  Otherwise the certificate is
-    "rank_one": one eigendecomposition serves the rank-one test, the
-    extraction and, for the nuclear model, the penalized objective
-    <C, X> - rho ||X||_*.  At d = 2 it is of the real matrix Y = U^H X U,
-    and the top eigenvector is mapped back through U.
-    """
-    t = model.tensor
-    if report.stop_reason == "gap":
-        if report.model == "nuclear":
-            report.objective = report.linear_objective - report.rho
-        report.rank_one_ratio = 0.0
-        report.certified, report.certificate = True, "bracket"
-        return report
-    eig = herm_eig(_to_frame(report.X, model.frame))
-    if report.model == "nuclear":
-        nuc = float(np.abs(eig.eigenvalues).sum())
-        report.objective = report.linear_objective - report.rho * nuc
-    report.rank_one_ratio = math.inf
-    try:
-        report.rank_one_ratio = eig.modulus_ratio()
-        vec, _ = rs._extract_from_eig(
-            report.X, eig, model.pi, model.n, model.d, rs.RANK1_TOL, model.frame
-        )
-    except (ZeroMatrix, NotRankOne, NotInSubspace):
-        return report
-    value = tz.conj_form_eval(t, vec)
-    pair = EigenPair(value.real, vec)
-    res = eigen_residual(t, pair)
-    report.eigenpair = pair
-    report.eigen_res = res
-    report.certified = _passes_eigen_tests(t, value, res)
-    if report.certified:
-        report.certificate = "rank_one"
-        if report.multiplier is not None:
-            report.optimality_gap = _relative_gap(dual_bound(model, report.multiplier), pair.value)
-    return report
+    return _admm(
+        model, lambda w, beta: _spectral_prox(w, rho / beta), opts or SolverOptions(), rho
+    )
 
 
 def _relative_gap(upper: float, value: float) -> float:

@@ -19,7 +19,7 @@ from .errors import (
     NotRankOne,
     SizeMismatch,
 )
-from .linalg import HermEigen, herm_eig
+from .linalg import herm_eig
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
@@ -268,21 +268,7 @@ def extract_rank_one_vector(
     pi = validate_permutation(pi, 2 * d)
     if not satisfies_conj_condition(pi, d):
         raise BadPermutation(f"{pi} violates the conjugate (Hermitian) condition")
-    return _extract_from_eig(x, herm_eig(x), pi, n, d, tol)
-
-
-def _extract_from_eig(
-    x: np.ndarray,
-    eig: HermEigen,
-    pi: tuple[int, ...],
-    n: int,
-    d: int,
-    tol: float,
-    frame: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """extract_rank_one_vector given a validated pi and the eigendecomposition
-    of x, for callers that already hold it: herm_eig(x), or, with a unitary
-    frame U, herm_eig(U^H x U), whose top eigenvector U maps back."""
+    eig = herm_eig(x)
     ratio = eig.modulus_ratio()
     if ratio > tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
@@ -291,7 +277,7 @@ def _extract_from_eig(
         raise NotInSubspace("matrix does not lie in the matricized CPS subspace")
 
     top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
-    vec = _oriented_vector(eig.eigenvectors[:, top_idx], pi, n, d, frame)
+    vec = _oriented_vector(eig.eigenvectors[:, top_idx], pi, n, d)
     pattern = _rank_one_lift(vec, pi, d)
     lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1
     res = np.linalg.norm(x - lam * pattern) / scale
@@ -303,9 +289,10 @@ def _extract_from_eig(
 def _oriented_vector(
     u: np.ndarray, pi: tuple[int, ...], n: int, d: int, frame: np.ndarray | None = None
 ) -> np.ndarray:
-    """The unit x, phase fixed, read off an eigenvector u of a near rank-one
-    matrix of M_pi(CPS) (U u with a frame U): the top left singular vector of
-    the mode-1 unfolding of u, conjugated when mode 1 carries conj(x)."""
+    """The unit x, phase fixed, read off u, an eigenvector of a matrix of
+    M_pi(CPS) or a combination of such (U u with a frame U): the top left
+    singular vector of the mode-1 unfolding of u, conjugated when mode 1
+    carries conj(x)."""
     if frame is not None:
         u = frame @ u
     factor = u.reshape(n, -1)  # mode-1 unfolding of the order-d pattern tensor

@@ -111,10 +111,12 @@ class TestMatricize:
 
 class TestRank1:
     def test_gap_objective_sdp(self, gap_file, capsys):
+        # its maximizers form a family; the check at the tol stop reads one
+        # off X's top eigenspace
         code = main(["rank1", gap_file, "--model", "sdp"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["objective"] == pytest.approx(0.5, abs=1e-3)
-        assert code in (0, 2)  # degenerate maximizer set may defeat certification
+        assert code == 0
 
     def test_rank_one_certified(self, rank_one_file, capsys):
         assert main(["rank1", rank_one_file, "--model", "sdp"]) == 0
@@ -129,15 +131,15 @@ class TestRank1:
         assert payload["certified"] is True
 
     def test_stop_reason_and_final_penalty(self, rank_one_file, tmp_path, capsys):
-        # at n = 1 the solve reaches tol before the first bracket check and
-        # certifies rank-one
+        # at n = 1 the solve reaches tol before the first bracket check, and
+        # the check at the stop certifies it
         path = tmp_path / "n1.json"
         tz.save_tensor(tz.rank_one_cps(1.5, np.ones(1, dtype=complex), 2), path)
         main(["rank1", str(path)])
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["stop_reason"], payload["certificate"]) == ("tol", "rank_one")
+        assert (payload["stop_reason"], payload["certificate"]) == ("tol", "bracket")
         assert payload["beta_final"] > 0
-        main(["rank1", rank_one_file, "--max-iter", "3"])
+        main(["rank1", rank_one_file, "--max-iter", "1"])
         payload = json.loads(capsys.readouterr().out)
         assert (payload["stop_reason"], payload["certificate"]) == ("max_iter", "")
 
@@ -201,7 +203,8 @@ class TestRank1:
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        assert main(["rank1", gap_file]) == 2
+        # stopped after one evaluation, far from the optimum
+        assert main(["rank1", gap_file, "--max-iter", "1"]) == 2
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert payload["certified"] is False
         assert payload["eigen_residual"] is None and payload["optimality_gap"] is None
@@ -230,7 +233,7 @@ class TestNumericFlags:
 
     def test_zero_tol_runs_to_max_iter(self, tmp_path, gap_tensor, capsys):
         # a default-tolerance solve of this tensor stops on tol after 7
-        # evaluations; its degenerate maximum never closes the bracket
+        # evaluations; its degenerate maximum closes no bracket before the stop
         path = tmp_path / "gap.json"
         tz.save_tensor(gap_tensor, path)
         main(["--tol", "0", "rank1", str(path), "--max-iter", "1000"])
@@ -318,7 +321,7 @@ class TestUseig:
     def test_uncertified_exit(self, tmp_path, capsys):
         path = tmp_path / "z.json"
         tz.save_tensor(ap.useig_benchmark("b"), path)
-        assert main(["useig", str(path), "--retries", "0"]) == 2
+        assert main(["useig", str(path), "--retries", "0", "--max-iter", "1"]) == 2
 
 
 class TestExperiment:

@@ -14,19 +14,6 @@ from conftest import random_cps_tensor, random_ps_tensor, random_unit
 FAST = r1.SolverOptions()
 
 
-def _as_tol_stop(report):
-    """A report of a loop that closed its bracket as one that stopped on tol,
-    before certification: X (the rank-one lift of the bracket's x) and the
-    multiplier.  The rank-one certificate is tested on it, since with the
-    bracket check only n = 1 solves still stop on tol certified."""
-    return r1.SolveReport(
-        X=report.X, objective=report.linear_objective, linear_objective=report.linear_objective,
-        primal_residual=report.primal_residual, dual_residual=report.dual_residual,
-        iterations=report.iterations, converged=True, model=report.model, rho=report.rho,
-        stop_reason="tol", beta_final=report.beta_final, multiplier=report.multiplier,
-    )
-
-
 class TestBuildMatrixModel:
     def test_subspace_equalities(self):
         # for n = d = 2 and pi = (1,3,4,2) the matricized CPS subspace pins
@@ -89,10 +76,10 @@ class TestFlatLoop:
     def test_no_tensor_constructions_per_iteration(self, monkeypatch, gap_tensor):
         # only the model build may construct tensors; the ADMM loop and its
         # bracket checks run on plain arrays, so the count does not grow with
-        # the iteration count.  The gap tensor's maximum is degenerate: its
-        # bracket never closes, and both solves run to max_iter
+        # the iteration count.  The gap tensor's maximum is degenerate: no
+        # check before the stop closes its bracket, and both solves run to
+        # max_iter
         model = r1.build_matrix_model(gap_tensor)
-        monkeypatch.setattr(r1, "certify_and_recover", lambda report, model: report)
         count = [0]
         post_init = tz.DenseTensor.__post_init__
 
@@ -179,24 +166,26 @@ class TestStopReason:
     def test_tol(self):
         # the order-6 US lift of benchmark a closes its bracket at the first
         # check (5 evaluations); a coarse tol stops the loop on the residuals
-        # before it
+        # after those 5, before that check, and the check at the stop closes it
         model = r1.build_matrix_model(ap.us_lift(ap.useig_benchmark("a")))
         coarse = r1.solve_sdp(model, r1.SolverOptions(tol=2.0))
         assert coarse.stop_reason == "tol" and coarse.converged
-        assert not coarse.certified
+        assert coarse.iterations == 5
+        assert coarse.certified and coarse.certificate == "bracket"
         assert coarse.to_dict()["stop_reason"] == "tol"
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_tol_before_the_first_check_certifies_rank_one(self, d):
+    def test_tol_before_the_first_check_certifies(self, d):
         # at n = 1 the lift is the 1 x 1 matrix [1]: both solves reach the
-        # default tol before the first bracket check, and the rank-one
-        # certificate certifies them
+        # default tol before the first bracket check, and the check at the
+        # stop certifies them
         t = random_cps_tensor(1, 0, d=d)
         model = r1.build_matrix_model(t)
         for solve, evaluations in ((r1.solve_sdp, 1), (r1.solve_nuclear, 4)):
             report = solve(model, opts=FAST)
             assert report.stop_reason == "tol" and report.iterations == evaluations
-            assert report.certified and report.certificate == "rank_one"
+            assert report.certified and report.certificate == "bracket"
+            assert report.rank_one_ratio == 0.0
             assert report.eigenpair.value == pytest.approx(t.entries.real.item(), rel=1e-12)
             assert report.optimality_gap <= r1.GAP_TOL
 
@@ -267,8 +256,8 @@ class TestEvaluations:
         # benchmark b perturbed with seed 0 drifts along a flat face at a
         # residual constant to round-off: the plain loop took 3747 evaluations
         # and the accelerated one 3790 to reach tol; its bracket closes after 20
-        res = ap.us_eigen(ap.useig_benchmark("b"), retries=5, eps=1e-4, seed=0)
-        assert res.attempts[-1][0] == 0
+        res = ap.perturb_and_retry(ap.useig_benchmark("b"), 1e-4, attempts=5, seed=0)
+        assert [(s, c) for s, c, _ in res.attempts] == [(0, True)]
         assert res.report.stop_reason == "gap"
         assert res.report.iterations <= 60
 
@@ -414,12 +403,32 @@ class TestBracketCertificate:
         sdp = r1.solve_sdp(model)
         assert report.eigenpair.value == pytest.approx(sdp.eigenpair.value, rel=1e-12)
 
-    def test_degenerate_maximum_does_not_close(self, gap_tensor):
-        # the gap tensor's maximizers form a family, X has rank > 1, and no
-        # candidate closes the bracket in 20 checks
+    def test_degenerate_maximum_closes_at_the_stop(self, gap_tensor):
+        # the gap tensor's maximizers form a family and X has rank > 1: the
+        # candidate read off its top eigenvector closes no bracket in 20
+        # checks, and those read off its top eigenspace at the stop do
         report = r1.solve_sdp(r1.build_matrix_model(gap_tensor), r1.SolverOptions(0.0, 200))
-        assert report.stop_reason == "max_iter" and not report.certified
-        assert report.certificate == "" and report.to_dict()["certificate"] == ""
+        assert report.stop_reason == "max_iter" and not report.converged
+        assert report.certified and report.certificate == "bracket"
+        assert report.eigenpair.value == pytest.approx(0.5, rel=1e-12)
+        assert report.to_dict()["certificate"] == "bracket"
+
+    CASES_DEGENERATE = {"gap": (0.5, (1e-12, 1e-6, 1.0, 1e6)), "bench_b": (10.0, (1.0, 1e6))}
+
+    @pytest.mark.parametrize("case", CASES_DEGENERATE)
+    @pytest.mark.parametrize("nuclear", [False, True])
+    def test_degenerate_maximum_certifies_across_scales(self, case, nuclear, gap_tensor):
+        # two maximizers or more: X has rank 2 at the stop, and its top
+        # eigenvector mixes them (it polishes to 5 on benchmark b's lift)
+        t = gap_tensor if case == "gap" else ap.us_lift(ap.useig_benchmark("b"))
+        lam, scales = self.CASES_DEGENERATE[case]
+        for scale in scales:
+            model = r1.build_matrix_model(tz.DenseTensor(t.n, t.order, scale * t.entries))
+            report = r1.solve_nuclear(model) if nuclear else r1.solve_sdp(model)
+            assert report.stop_reason == "tol"
+            assert report.certified and report.certificate == "bracket"
+            assert report.eigenpair.value / scale == pytest.approx(lam, rel=1e-12)
+            assert report.optimality_gap <= r1.GAP_TOL
 
 
 class TestSpectralCalls:
@@ -427,9 +436,10 @@ class TestSpectralCalls:
         # ||C||_2 once per model, when it is built.  Each bracket check takes
         # one top eigenpair of the loop's X, and the top eigenvalue for the
         # dual bound once its candidate passes the eigen tests, and one more
-        # for a completed bound.  A bracket certificate needs nothing more; a
-        # rank-one one takes a herm_eig (which also gives ||X||_*) and the
-        # top eigenvalue for the gap
+        # for a completed bound.  The check at a tol or max_iter stop takes
+        # X's top 4 eigenpairs instead of one; an uncertified nuclear solve
+        # takes all eigenvalues of X, for ||X||_*.  No solve takes a full
+        # eigendecomposition (herm_eig)
         n = 4
         big = n * n
         calls = []
@@ -448,8 +458,12 @@ class TestSpectralCalls:
         def kernel(h, select="A", vectors=True, **bounds):
             if len(h) == 2 * n - 2:  # a polish step's Hessian
                 pass
-            elif select == "I" and bounds == {"il": len(h), "iu": len(h)}:
-                calls.append("top eigenpair" if vectors else "top eigenvalue")
+            elif select == "I" and bounds["iu"] == len(h):
+                top = bounds["iu"] - bounds["il"] + 1
+                if top > 1:
+                    calls.append(f"top {top} eigenpairs")
+                else:
+                    calls.append("top eigenpair" if vectors else "top eigenvalue")
             else:
                 calls.append(f"eigh {select}")
             return eigh(h, select, vectors, **bounds)
@@ -458,9 +472,7 @@ class TestSpectralCalls:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd, True))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(r1, "_eigh", kernel)
-        herm_eig = counted("herm_eig", r1.herm_eig)
-        monkeypatch.setattr(r1, "herm_eig", herm_eig)
-        monkeypatch.setattr(rs, "herm_eig", herm_eig)
+        monkeypatch.setattr(rs, "herm_eig", counted("herm_eig", rs.herm_eig))
         model = r1.build_matrix_model(random_cps_tensor(n, 27))
         assert calls == ["norm"]
         # the candidate fails the eigen tests at the first checks (after 5
@@ -472,10 +484,15 @@ class TestSpectralCalls:
         calls.clear()
         assert r1.solve_sdp(model, FAST).certificate == "bracket"
         assert calls == ["top eigenpair"] * 5 + ["top eigenvalue"] * 2
-        stopped = _as_tol_stop(r1.solve_sdp(model, FAST))
+        # stopped on max_iter before the first check: no candidate read at
+        # the stop passes the eigen tests, so no dual bound is computed
+        early = r1.SolverOptions(max_iter=4)
         calls.clear()
-        assert r1.certify_and_recover(stopped, model).certificate == "rank_one"
-        assert calls == ["herm_eig", "top eigenvalue"]
+        assert not r1.solve_sdp(model, early).certified
+        assert calls == ["top 4 eigenpairs"]
+        calls.clear()
+        assert not r1.solve_nuclear(model, opts=early).certified
+        assert calls == ["top 4 eigenpairs", "eigh A"]
 
 
 class TestCertificateScale:
@@ -598,49 +615,57 @@ class TestSolveNuclear:
             r1.solve_nuclear(r1.build_matrix_model(gap_tensor), rho=0.0)
 
 
+def _final_check(model, x, lam=None):
+    """The check at a stop (_BracketCheck.final) of a matrix X of M_pi(CPS),
+    with the optimal multiplier u = C - lam I (then W = 0 and the plain bound
+    is lambda_max(C)), or a zero one without lam."""
+    y = x if model.frame is None else (model.frame.conj().T @ x @ model.frame).real
+    u = np.zeros_like(y) if lam is None else model.c - lam * np.eye(len(y))
+    return r1._BracketCheck(model).final(y, u)
+
+
 class TestCertifyAndRecover:
+    # certification and recovery at a tol or max_iter stop: the last
+    # bracket check, whose candidates are read off X's top eigenspace, and
+    # the report _admm builds from it
+
     def test_exact_rank_one_certifies(self):
         rng = np.random.default_rng(11)
         a = random_unit(2, rng)
         t = tz.rank_one_cps(1.0, np.conj(a), 2)  # eigenvector of t is a
         model = r1.build_matrix_model(t)
         x = rs.matricize_pi(tz.rank_one_cps(1.0, a, 2), model.pi)
-        report = r1.SolveReport(
-            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
-            dual_residual=0.0, iterations=0, converged=True,
-        )
-        report = r1.certify_and_recover(report, model)
-        assert report.certified
-        assert report.eigenpair.value.real == pytest.approx(1.0, abs=1e-10)
+        bracket, ratio = _final_check(model, x, lam=1.0)
+        assert bracket is not None and bracket.gap <= r1.GAP_TOL
+        assert bracket.pair.value == pytest.approx(1.0, rel=1e-12)
+        assert abs(abs(np.vdot(bracket.pair.vector, a)) - 1.0) <= 1e-12
+        assert ratio <= 1e-12
 
     def test_one_eigendecomposition(self, monkeypatch):
-        # the certificate and the extraction share one herm_eig of X
+        # the candidates and the rank-one ratio share one eigendecomposition
+        # of X, of its top pairs alone
         calls = []
-        herm_eig = r1.herm_eig
-        counted = lambda x: calls.append(1) or herm_eig(x)  # noqa: E731
-        monkeypatch.setattr(r1, "herm_eig", counted)
-        monkeypatch.setattr(rs, "herm_eig", counted)
+        eigh = r1._eigh
+
+        def kernel(h, select="A", vectors=True, **bounds):
+            if len(h) == 9 and vectors:
+                calls.append((select, bounds))
+            return eigh(h, select, vectors, **bounds)
+
+        monkeypatch.setattr(r1, "_eigh", kernel)
         rng = np.random.default_rng(13)
         a = random_unit(3, rng)
         model = r1.build_matrix_model(tz.rank_one_cps(1.0, np.conj(a), 2))
         x = rs.matricize_pi(tz.rank_one_cps(1.0, a, 2), model.pi)
-        report = r1.SolveReport(
-            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
-            dual_residual=0.0, iterations=0, converged=True,
-        )
-        assert r1.certify_and_recover(report, model).certified
-        assert len(calls) == 1
+        assert _final_check(model, x, lam=1.0)[0] is not None
+        assert calls == [("I", {"il": 6, "iu": 9})]
 
     def test_no_tensor_constructions(self, monkeypatch):
-        # certification works on the plain matrix X and the model's arrays
+        # the check works on the plain matrix X and the model's arrays
         rng = np.random.default_rng(14)
         a = random_unit(3, rng)
         model = r1.build_matrix_model(tz.rank_one_cps(1.0, np.conj(a), 2))
         x = rs.matricize_pi(tz.rank_one_cps(1.0, a, 2), model.pi)
-        report = r1.SolveReport(
-            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
-            dual_residual=0.0, iterations=0, converged=True,
-        )
         count = [0]
         post_init = tz.DenseTensor.__post_init__
 
@@ -649,41 +674,39 @@ class TestCertifyAndRecover:
             post_init(obj)
 
         monkeypatch.setattr(tz.DenseTensor, "__post_init__", counted)
-        assert r1.certify_and_recover(report, model).certified
+        assert _final_check(model, x, lam=1.0)[0] is not None
         assert count[0] == 0
 
-    def test_one_projector_build_per_solve(self):
+    def test_one_projector_build_per_solve(self, gap_tensor):
         # a bracket certificate, its dual completion included, has no
-        # subspace test; the rank-one certificate's builds one projector
-        model = r1.build_matrix_model(ap.random_cps(4, 8000))
-        rs.cps_projector.cache_clear()
-        report = r1.solve_nuclear(model, opts=FAST)
-        assert report.certificate == "bracket"
-        assert rs.cps_projector.cache_info().misses == 0
-        assert r1.certify_and_recover(_as_tol_stop(report), model).certificate == "rank_one"
-        assert rs.cps_projector.cache_info().misses == 1
+        # subspace test: neither a check in the loop nor the one at the stop
+        # builds a projector
+        for t, stop in ((ap.random_cps(4, 8000), "gap"), (gap_tensor, "tol")):
+            model = r1.build_matrix_model(t)
+            rs.cps_projector.cache_clear()
+            report = r1.solve_nuclear(model, opts=FAST)
+            assert (report.stop_reason, report.certificate) == (stop, "bracket")
+            assert rs.cps_projector.cache_info().misses == 0
 
-    def test_real_eigendecomposition_at_order_four(self, monkeypatch):
-        # d = 2 certifies on the real U^H X U and agrees with the complex route
+    def test_real_eigendecomposition_at_order_four(self, monkeypatch, gap_tensor):
+        # d = 2 reads its candidates off the real U^H X U, and the report's X
+        # is the lift of the certified x
         seen = []
-        herm_eig = r1.herm_eig
-        monkeypatch.setattr(r1, "herm_eig", lambda x: seen.append(x.dtype) or herm_eig(x))
-        model = r1.build_matrix_model(ap.random_cps(4, 8000))
-        report = r1.certify_and_recover(_as_tol_stop(r1.solve_sdp(model, FAST)), model)
-        assert report.certificate == "rank_one" and seen == [np.float64]
-        vec, _ = rs.extract_rank_one_vector(report.X, model.pi, model.n, model.d)
+        eigh = r1._eigh
+        monkeypatch.setattr(r1, "_eigh", lambda h, *args, **kw: seen.append(h.dtype) or eigh(h, *args, **kw))
+        model = r1.build_matrix_model(gap_tensor)
+        report = r1.solve_sdp(model, FAST)
+        assert (report.stop_reason, report.certificate) == ("tol", "bracket")
+        assert set(seen) == {np.dtype(np.float64)}
+        vec, lam = rs.extract_rank_one_vector(report.X, model.pi, model.n, model.d)
         assert np.max(np.abs(report.eigenpair.vector - vec)) <= 1e-12
+        assert lam == pytest.approx(1.0, rel=1e-12)
 
     def test_identity_not_certified(self, gap_tensor):
-        model = r1.build_matrix_model(gap_tensor)
-        x = np.eye(4, dtype=complex) / 4.0
-        report = r1.SolveReport(
-            X=x, objective=0.0, linear_objective=0.0, primal_residual=0.0,
-            dual_residual=0.0, iterations=0, converged=True,
-        )
-        report = r1.certify_and_recover(report, model)
-        assert not report.certified
-        assert report.rank_one_ratio == pytest.approx(1.0)
+        # a zero multiplier's bound is loose
+        bracket, ratio = _final_check(r1.build_matrix_model(gap_tensor), np.eye(4) / 4.0)
+        assert bracket is None
+        assert ratio == pytest.approx(1.0)
 
     def test_tiny_perturbation_still_certifies(self):
         rng = np.random.default_rng(12)
@@ -694,12 +717,9 @@ class TestCertifyAndRecover:
         noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
         noise = 0.5 * (noise + noise.conj().T)
         x = x + 1e-8 * noise / np.linalg.norm(noise)
-        report = r1.SolveReport(
-            X=x, objective=1.0, linear_objective=1.0, primal_residual=0.0,
-            dual_residual=0.0, iterations=0, converged=True,
-        )
-        report = r1.certify_and_recover(report, model)
-        assert report.certified
+        bracket, _ = _final_check(model, x, lam=1.0)
+        assert bracket is not None
+        assert bracket.pair.value == pytest.approx(1.0, rel=1e-12)
 
 
 class TestEigenResidual:
