@@ -173,10 +173,8 @@ def us_lift(z: DenseTensor) -> DenseTensor:
 
 def symmetric_power_inner(z: DenseTensor, x: np.ndarray) -> complex:
     """<Z, x^{ox d}> = sum conj(Z_idx) x_{i_1} .. x_{i_d}."""
-    out = np.conj(z.entries)
-    for _ in range(z.order):
-        out = np.tensordot(out, np.asarray(x, dtype=complex), axes=([out.ndim - 1], [0]))
-    return complex(out)
+    power = tz._kron_powers(np.asarray(x, dtype=complex), z.order)[-1]
+    return complex(np.vdot(z.entries.ravel(), power))
 
 
 @dataclass

@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     BadPermutation,
+    NoConvergence,
     NotCps,
     NotUnit,
     RangeError,
@@ -165,9 +167,10 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
         frame, project = None, rs.cps_projector(t.n, d, pi)
     # U^H C U is real: a frame is only built where M_pi(CPS) is real in it
     c = data if frame is None else (frame.conj().T @ data @ frame).real
+    w, _ = _eigh(c.copy(), vectors=False)  # ||C||_2 = max |w|: c is unitarily similar to C
     return MatrixModel(
         tensor=t, pi=pi, n=t.n, d=d, C=data, frame=frame, c=c, project=project,
-        p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(np.linalg.norm(data, 2)),
+        p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(max(-w[0], w[-1])),
     )
 
 
@@ -193,6 +196,12 @@ class _Step(NamedTuple):
 def _real(a: np.ndarray) -> np.ndarray:
     """A contiguous array as a flat real vector: Re<a, b> is its dot product."""
     return a.reshape(-1).view(np.float64)
+
+
+def _norm(a: np.ndarray) -> float:
+    """||a||_F of a contiguous array."""
+    v = _real(a)
+    return math.sqrt(v @ v)
 
 
 class _Backoff:
@@ -249,7 +258,10 @@ class _Anderson:
         m = self.count
         gram = self.gram[:m, :m]
         reg = AA_REGULARIZATION * np.trace(gram) + np.finfo(float).tiny
-        gamma = np.linalg.solve(gram + reg * np.eye(m), self.d_residual[:m] @ _real(cur.residual))
+        system = gram + reg * np.eye(m)
+        _, gamma, info = lapack.dposv(system, self.d_residual[:m] @ _real(cur.residual), overwrite_a=1)
+        if info != 0:  # pragma: no cover - the regularized Gram matrix is positive definite
+            raise NoConvergence(f"?posv returned info={info}")
         z = _real(cur.image) - gamma @ self.d_image[:m]
         return z.view(self.dtype).reshape(self.shape)
 
@@ -263,63 +275,69 @@ class _Bracket(NamedTuple):
     gap: float  # (U - L) / |L|
 
 
-def _polish(t: DenseTensor, x: np.ndarray) -> np.ndarray:
-    """A unit x moved towards a C-eigenpair g(x) = mu x, g = partial_map, by a
-    safeguarded Newton ascent.
+def _polish(form: tz._ConjForm, start: tz._FormPoint) -> tuple[np.ndarray, np.ndarray, complex]:
+    """A unit x moved towards a C-eigenpair g(x) = mu x, g the partial map, by
+    a safeguarded Newton ascent from the kernel's point start; returns x,
+    phase fixed, with its g and conjugate form.
 
     A Newton step linearizes the eigen residual g - mu x, mu = x^H g, with
     the Wirtinger derivatives A = dg/dx and B = dg/dconj(x) of g.  The phase
     of x is free, so the step h is the least-norm one, x^H h = 0: with Q an
-    orthonormal basis of the complement of x and h = Q c, it solves
-    H c = -Q^H g for the real symmetric H of c -> Q^H (A - mu) Q c +
+    orthonormal basis of the complement of x (_complement) and h = Q c, it
+    solves H c = -Q^H g for the real symmetric H of c -> Q^H (A - mu) Q c +
     Q^H B conj(Q) conj(c), a multiple of the conjugate form's Hessian on
-    the sphere, in 2n - 2 real unknowns.  H's eigenvalues are replaced by
-    minus their moduli, floored at POLISH_FLOOR times the largest: the step
-    is Newton's near a nondegenerate maximum and an ascent direction
-    elsewhere.  A step is kept only if the conjugate form rises, up to its
-    rounding, POLISH_TOL |mu|: the last steps to an eigenpair change the
-    form by less.  The polish ends on a rejected step, on an eigen residual
-    of POLISH_TOL ||T||_F or after POLISH_STEPS steps."""
-    n = t.n
-    tol = POLISH_TOL * t.norm()
-    g = tz.partial_map(t, x)
-    mu = float(np.vdot(x, g).real)
+    the sphere, in 2n - 2 real unknowns; h does not depend on which basis Q
+    is.  H's eigenvalues are replaced by minus their moduli, floored at
+    POLISH_FLOOR times the largest: the step is Newton's near a
+    nondegenerate maximum and an ascent direction elsewhere.  A step is
+    kept only if the conjugate form rises, up to its rounding,
+    POLISH_TOL |mu|: the last steps to an eigenpair change the form by
+    less.  The polish ends on a rejected step, on an eigen residual of
+    POLISH_TOL ||T||_F or after POLISH_STEPS steps; at n = 1 every unit x
+    is an eigenvector."""
+    n, half = form.n, form.n - 1
+    tol = POLISH_TOL * form.norm
+    point, mu = start, start.value.real
+    hess = np.empty((2 * half, 2 * half))
     for _ in range(POLISH_STEPS):
-        if not np.linalg.norm(g - mu * x) > tol:
+        x, g = point.x, point.g
+        if n == 1 or not _norm(g - mu * x) > tol:
             break
-        a, b = _wirtinger_derivatives(t, x)
-        q = np.linalg.qr(x[:, None], mode="complete")[0][:, 1:]
-        m = q.conj().T @ a @ q - mu * np.eye(n - 1)
-        k = q.conj().T @ b @ q.conj()
-        rhs = q.conj().T @ g
-        hess = np.block([[m.real + k.real, k.imag - m.imag], [m.imag + k.imag, m.real - k.real]])
+        a, b = form.derivatives(point)
+        q = _complement(x)
+        qh = q.conj().T
+        m = qh @ a @ q
+        m.flat[::n] -= mu
+        k = qh @ b @ q.conj()
+        rhs = qh @ g
+        np.add(m.real, k.real, out=hess[:half, :half])
+        np.subtract(k.imag, m.imag, out=hess[:half, half:])
+        np.add(m.imag, k.imag, out=hess[half:, :half])
+        np.subtract(m.real, k.real, out=hess[half:, half:])
         w, v = _eigh(hess)
         w = np.maximum(np.abs(w), POLISH_FLOOR * np.abs(w).max())
         step = v @ ((v.T @ np.concatenate([rhs.real, rhs.imag])) / w)
-        y = x + q @ (step[: n - 1] + 1j * step[n - 1 :])
-        y /= np.linalg.norm(y)
-        gy = tz.partial_map(t, y)
-        mu_y = float(np.vdot(y, gy).real)
-        if not mu_y >= mu - POLISH_TOL * abs(mu):
+        y = x + q @ (step[:half] + 1j * step[half:])
+        y /= _norm(y)
+        trial = form.at(y)
+        if not trial.value.real >= mu - POLISH_TOL * abs(mu):
             break
-        x, g, mu = y, gy, mu_y
-    return rs._canonical_phase(x)
+        point, mu = trial, trial.value.real
+    phase = rs._phase_factor(point.x)
+    return point.x * phase, point.g * phase, point.value
 
 
-def _wirtinger_derivatives(t: DenseTensor, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Wirtinger derivatives of g = partial_map(t, .) at x: A = dg/dx,
-    which is Hermitian, and B = dg/dconj(x), which is symmetric."""
-    d, xc = t.half, np.conj(x)
-    head = t.entries
-    for _ in range(d - 1):  # contract x on modes d+2..2d
-        head = np.tensordot(head, x, axes=([head.ndim - 1], [0]))
-    a = head  # modes (i, 2..d, j)
-    for _ in range(d - 1):
-        a = np.tensordot(a, xc, axes=([1], [0]))
-    b = np.tensordot(head, x, axes=([d], [0]))  # modes (i, 2..d)
-    for _ in range(d - 2):
-        b = np.tensordot(b, xc, axes=([b.ndim - 1], [0]))
-    return d * a, (d - 1) * b
+def _complement(x: np.ndarray) -> np.ndarray:
+    """An orthonormal basis Q (n x (n - 1)) of the complement of a unit x:
+    the last n - 1 columns of the Householder reflector
+    I - v v^H / (1 + |x_1|), v = x + e^{i arg x_1} e_1 (e_1 when x_1 = 0),
+    which maps x to a multiple of e_1."""
+    top = abs(x[0])
+    v = x.copy()
+    v[0] += x[0] / top if top > 0.0 else 1.0
+    q = np.outer(v, np.conj(v[1:])) / -(1.0 + top)
+    q.flat[len(x) - 1 :: len(x)] += 1.0  # the identity below q's first row
+    return q
 
 
 class _BracketCheck:
@@ -330,7 +348,9 @@ class _BracketCheck:
     A check reads unit candidates x off eigenvectors of X (the top left
     singular vector of the eigenvector's mode-1 unfolding) and polishes
     each (_polish); the first is polished from the read x or from the last
-    check's polished x, whichever has the larger conjugate form.  L is the
+    check's polished x, whichever has the larger conjugate form.  Forms,
+    partial maps and their derivatives come from one tz._ConjForm, built
+    with the check.  L is the
     conjugate form at a read or polished candidate that passes the eigen
     tests, the largest first (_close), a lower bound on the maximum.  U is
     the smaller of dual_bound(model, u) and, when that misses GAP_TOL by
@@ -348,6 +368,7 @@ class _BracketCheck:
 
     def __init__(self, model: MatrixModel):
         self.model = model
+        self.form = tz._ConjForm(model.tensor)
         self.polished: EigenPair | None = None
         self.completions = _Backoff(COMPLETE_MAX_PAUSE)
         self.eager = True  # whether the next check may complete the dual
@@ -392,26 +413,24 @@ class _BracketCheck:
         last polished x.  A final check tries every candidate that passes
         the eigen tests, in order of L, as the completed bound depends on
         the candidate; a check in the loop tries the first alone."""
-        model, t = self.model, self.model.tensor
+        model, form = self.model, self.form
         candidates = []
         for k, column in enumerate(reads.T):
-            read = rs._oriented_vector(column, model.pi, model.n, model.d, model.frame)
-            read_value = tz.conj_form_eval(t, read)
+            read = form.at(rs._oriented_vector(column, model.pi, model.n, model.d, model.frame))
             start = read
-            if k == 0 and self.polished is not None and self.polished.value > read_value.real:
-                start = self.polished.vector
-            polished = _polish(t, start)
-            value = tz.conj_form_eval(t, polished)
+            if k == 0 and self.polished is not None and self.polished.value > read.value.real:
+                start = form.at(self.polished.vector)
+            vec, g, value = _polish(form, start)
             if k == 0:
-                self.polished = EigenPair(value.real, polished)
-            candidates += [(polished, value), (read, read_value)]
+                self.polished = EigenPair(value.real, vec)
+            candidates += [(vec, g, value), (read.x, read.g, read.value)]
         # the larger form first, the polished x on a tie; those that pass the
         # tests, or, before the final check, the first of them
         passing = []
-        for vec, value in sorted(candidates, key=lambda c: -c[1].real):
+        for vec, g, value in sorted(candidates, key=lambda c: -c[2].real):
             pair = EigenPair(value.real, vec)
-            res = eigen_residual(t, pair)
-            if _passes_eigen_tests(t, value, res):
+            res = _norm(g - pair.value * vec)
+            if _passes_eigen_tests(form.norm, value, res):
                 passing.append((pair, res))
                 if not final:
                     break
@@ -485,10 +504,7 @@ def _admm(
         image[0] = prox(x_relaxed + w, beta)
         image[1] = w + x_relaxed - image[0]
         g = image - z
-        return _Step(
-            x, image, g, float(np.linalg.norm(g)), float(np.linalg.norm(x - image[0])),
-            beta * float(np.linalg.norm(g[0])),
-        )
+        return _Step(x, image, g, _norm(g), _norm(x - image[0]), beta * _norm(g[0]))
 
     cur = step(np.stack([project_affine(np.zeros_like(c)), np.zeros_like(c)]))
     history = _Anderson(cur.image)
@@ -503,7 +519,7 @@ def _admm(
         if not (math.isfinite(cur.primal) and math.isfinite(cur.dual)):
             stop = "non-finite"
             break
-        if float(np.linalg.norm(cur.image[0])) > DIVERGED_NORM:
+        if _norm(cur.image[0]) > DIVERGED_NORM:
             stop = "diverged"
             break
         if evaluations >= opts.max_iter:
@@ -611,10 +627,10 @@ def _relative_gap(upper: float, value: float) -> float:
     return max(upper - value, 0.0) / max(abs(value), 1e-300)
 
 
-def _passes_eigen_tests(t: DenseTensor, value: complex, res: float) -> bool:
+def _passes_eigen_tests(t_norm: float, value: complex, res: float) -> bool:
     """The eigen residual and |Im value| of a candidate pair are both within
     EIG_TOL max(1, ||T||_F)."""
-    tol = EIG_TOL * max(1.0, t.norm())
+    tol = EIG_TOL * max(1.0, t_norm)
     return bool(res <= tol and abs(value.imag) <= tol)
 
 

@@ -240,9 +240,14 @@ def cps_part(w: np.ndarray, d: int) -> np.ndarray:
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:
     """u rotated so that its lowest-index near-max-modulus entry is real positive."""
+    return u * _phase_factor(u)
+
+
+def _phase_factor(u: np.ndarray) -> complex:
+    """The unit factor by which _canonical_phase rotates u."""
     mods = np.abs(u)
     top = int(np.argmax(mods >= mods.max() - 1e-12))  # lowest near-max index
-    return u * np.conj(u[top] / abs(u[top]))
+    return np.conj(u[top] / abs(u[top]))
 
 
 def extract_rank_one_vector(

@@ -12,6 +12,7 @@ two halves and conjugates entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -166,40 +167,81 @@ def frob_norm(t: DenseTensor) -> float:
     return t.norm()
 
 
-def _vec_power(x: np.ndarray, d: int) -> np.ndarray:
-    """Vectorization of the d-fold outer power of x (length n^d)."""
-    out = np.asarray(x, dtype=complex)
-    base = out
-    for _ in range(d - 1):
-        out = np.multiply.outer(out, base).reshape(-1)
-    return out
+def _kron_powers(x: np.ndarray, d: int) -> list[np.ndarray]:
+    """The Kronecker powers p_k = x^{ox k}, k = 0..d, as flat vectors of
+    length n^k in row-major order: p_0 = [1], p_{k+1} = p_k (x) x."""
+    powers = [np.ones(1, dtype=complex)]
+    for _ in range(d):
+        powers.append(np.multiply.outer(powers[-1], x).reshape(-1))
+    return powers
+
+
+class _FormPoint(NamedTuple):
+    """The conjugate form of a _ConjForm at one vector x."""
+
+    x: np.ndarray
+    powers: list[np.ndarray]  # p_k = x^{ox k}, k = 0..d
+    image: np.ndarray  # r = M p_d
+    g: np.ndarray  # the partial map at x
+    value: complex  # T(conj(x)^d x^d) = x^H g
+
+
+class _ConjForm:
+    """The conjugate form of an order-2d tensor T on plain arrays, through
+    its flat n^d x n^d matricization M, rows the first mode half.
+
+    At a vector x, with p_k = x^{ox k}, one product r = M p_d gives the
+    partial map g = r (n x n^{d-1}) conj(p_{d-1}) and the form x^H g
+    (at); a second one, with M read as n^{d+1} x n^{d-1}, gives g's
+    Wirtinger derivatives (derivatives).  The caller checks T and x."""
+
+    def __init__(self, t: DenseTensor):
+        d = t.half
+        self.n, self.d = t.n, d
+        self.matrix = t.entries.reshape(t.n**d, t.n**d)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """||T||_F."""
+        return float(np.linalg.norm(self.matrix))
+
+    def at(self, x: np.ndarray) -> _FormPoint:
+        powers = _kron_powers(x, self.d)
+        image = self.matrix @ powers[-1]
+        g = image.reshape(self.n, -1) @ np.conj(powers[-2])
+        return _FormPoint(x, powers, image, g, complex(np.vdot(x, g)))
+
+    def derivatives(self, point: _FormPoint) -> tuple[np.ndarray, np.ndarray]:
+        """The Wirtinger derivatives of g at a point: A = dg/dx, which is
+        Hermitian for a CPS T, and B = dg/dconj(x), which is symmetric for
+        a PS one.  T is symmetric within each mode half, so A is d times T
+        contracted with x on d - 1 second-half modes and with conj(x) on
+        modes 2..d, and B is d - 1 times r contracted with conj(x) on modes
+        3..d (B = 0 at d = 1)."""
+        n, d, powers = self.n, self.d, point.powers
+        head = self.matrix.reshape(n ** (d + 1), -1) @ powers[d - 1]
+        a = d * (np.conj(powers[d - 1]) @ head.reshape(n, -1, n))
+        if d == 1:
+            return a, np.zeros_like(a)
+        return a, (d - 1) * (point.image.reshape(n, n, -1) @ np.conj(powers[d - 2]))
+
+
+def _form_vector(t: DenseTensor, x) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (t.n,):
+        raise SizeMismatch(f"expected a vector of length {t.n}")
+    return x
 
 
 def conj_form_eval(t: DenseTensor, x) -> complex:
     """Conjugate form value sum T_idx conj(x)_{i_1..i_d} x_{i_{d+1}..i_{2d}}."""
-    d = t.half
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (t.n,):
-        raise SizeMismatch(f"expected a vector of length {t.n}")
-    u = _vec_power(x, d)
-    m = t.entries.reshape(t.n**d, t.n**d)
-    return complex(np.conj(u) @ (m @ u))
+    return _ConjForm(t).at(_form_vector(t, x)).value
 
 
 def partial_map(t: DenseTensor, x) -> np.ndarray:
     """Gradient-type map: entry i equals the conjugate form with the first
     conjugated slot replaced by the i-th unit vector."""
-    d = t.half
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (t.n,):
-        raise SizeMismatch(f"expected a vector of length {t.n}")
-    out = t.entries
-    for _ in range(d):  # contract the x block, innermost mode first
-        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
-    xc = np.conj(x)
-    for _ in range(d - 1):  # contract conj(x) on modes 2..d
-        out = np.tensordot(out, xc, axes=([out.ndim - 1], [0]))
-    return np.asarray(out, dtype=complex)
+    return _ConjForm(t).at(_form_vector(t, x)).g
 
 
 # Plain records: their fields are stored as given, and a consumer that needs
@@ -233,7 +275,7 @@ def assemble(terms, n: int, d: int) -> DenseTensor:
         a = np.asarray(term.vector, dtype=complex)
         if a.shape != (n,):
             raise SizeMismatch(f"term vector must have length {n}")
-        u = _vec_power(a, d)
+        u = _kron_powers(a, d)[-1]
         acc += term.coeff * np.outer(np.conj(u), u)
     return DenseTensor(n, 2 * d, acc.reshape((n,) * (2 * d)))
 

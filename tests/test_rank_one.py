@@ -433,7 +433,8 @@ class TestBracketCertificate:
 
 class TestSpectralCalls:
     def test_one_norm_and_one_eigendecomposition(self, monkeypatch):
-        # ||C||_2 once per model, when it is built.  Each bracket check takes
+        # ||C||_2 once per model, when it is built, from C's eigenvalues
+        # (no vectors, no spectral-norm SVD).  Each bracket check takes
         # one top eigenpair of the loop's X, and the top eigenvalue for the
         # dual bound once its candidate passes the eigen tests, and one more
         # for a completed bound.  The check at a tol or max_iter stop takes
@@ -474,7 +475,7 @@ class TestSpectralCalls:
         monkeypatch.setattr(r1, "_eigh", kernel)
         monkeypatch.setattr(rs, "herm_eig", counted("herm_eig", rs.herm_eig))
         model = r1.build_matrix_model(random_cps_tensor(n, 27))
-        assert calls == ["norm"]
+        assert calls == ["eigh A"]
         # the candidate fails the eigen tests at the first checks (after 5
         # and, for the SDP, 10, 20 and 30 passes); at the next, the plain
         # bound misses GAP_TOL and the completed one closes the bracket
@@ -550,6 +551,101 @@ class TestPinnedIterates:
     )
     def test_iterations_at_n8(self, seed, sdp_iters, nuclear_iters):
         self.check(8, seed, sdp_iters, nuclear_iters)
+
+
+    @pytest.mark.parametrize(
+        "name,iters,stop",
+        [("a", 5, "gap"), ("b", 15, "tol"), ("n2", 10, "gap"), ("n3", 20, "gap")],
+    )
+    def test_order_six_us_eigen(self, name, iters, stop):
+        # the lifts run the conjugate-form kernel at d = 3; b's degenerate
+        # maximum certifies at its tol stop
+        z = ap.random_symmetric(int(name[1]), 3, 0) if name[0] == "n" else ap.useig_benchmark(name)
+        res = ap.us_eigen(z)
+        report = res.report
+        assert (report.iterations, report.stop_reason, report.certificate) == (iters, stop, "bracket")
+        assert len(res.attempts) == 1
+
+    @pytest.mark.parametrize("s0_seed", [9000, 9008])
+    def test_radar(self, s0_seed):
+        t = ap.radar_tensor(ap.default_scenario(5, rho=30.0, s0_seed=s0_seed))
+        model = r1.build_matrix_model(tz.DenseTensor(t.n, t.order, -t.entries))
+        sdp, nuclear = r1.solve_sdp(model), r1.solve_nuclear(model)
+        assert (sdp.iterations, nuclear.iterations) == (10, 12)
+        assert sdp.certified and nuclear.certified
+
+
+class TestComplement:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([1.0 + 0j]),
+            np.array([0.6, 0.8j]),
+            np.array([0.0, 1.0 + 0j]),
+            np.array([0.0, 0.6, 0.0, -0.8j]),
+            random_unit(4, np.random.default_rng(3)),
+            random_unit(5, np.random.default_rng(4)),
+        ],
+        ids=["n1", "n2", "n2_x0_zero", "n4_x0_zero", "n4", "n5"],
+    )
+    def test_orthonormal_and_orthogonal_to_x(self, x):
+        q = r1._complement(x)
+        n = len(x)
+        assert q.shape == (n, n - 1)
+        assert np.allclose(q.conj().T @ q, np.eye(n - 1), rtol=0, atol=1e-15)
+        assert np.allclose(q.conj().T @ x, 0.0, rtol=0, atol=1e-15)
+
+
+class TestPolish:
+    @staticmethod
+    def polish(t, x):
+        form = tz._ConjForm(t)
+        start = form.at(x)
+        vec, g, value = r1._polish(form, start)
+        return form, start, vec, g, value
+
+    @pytest.mark.parametrize("case", ["rank_one", "gap"])
+    def test_reaches_an_eigenpair_from_nearby(self, case, gap_tensor):
+        rng = np.random.default_rng(5)
+        if case == "gap":
+            t, target = gap_tensor, np.array([1.0, 1.0]) / np.sqrt(2.0)
+        else:
+            a = random_unit(4, rng)
+            t, target = tz.rank_one_cps(1.5, a, 2), np.conj(a)
+        x = target + 1e-3 * random_unit(len(target), rng)
+        form, _, vec, g, value = self.polish(t, x / np.linalg.norm(x))
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-15
+        assert np.linalg.norm(g - value.real * vec) <= r1.POLISH_TOL * t.norm()
+        assert r1.eigen_residual(t, tz.EigenPair(value.real, vec)) <= r1.POLISH_TOL * t.norm()
+        assert value.real == pytest.approx(0.5 if case == "gap" else 1.5, rel=1e-14)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (4, 1), (2, 2), (4, 2), (2, 3), (3, 3)])
+    def test_form_never_falls(self, n, d):
+        for seed in range(5):
+            t = random_cps_tensor(n, 90 + seed, d)
+            x = random_unit(n, np.random.default_rng(seed))
+            _, start, vec, g, value = self.polish(t, x)
+            lower = start.value.real
+            assert value.real >= lower - r1.POLISH_TOL * abs(lower)
+            # the returned g is the partial map at the returned, phase-fixed x
+            assert np.allclose(g, tz.partial_map(t, vec), rtol=0, atol=1e-13 * t.norm())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 3), (4, 1)])
+    def test_n1_and_order_two(self, n, d):
+        # n = 1 leaves no complement, and every unit x is an eigenvector; at
+        # order 2 B = 0, and from near the top eigenvector of M the polish
+        # reaches it
+        t = random_cps_tensor(n, 7, d)
+        rng = np.random.default_rng(8)
+        x = np.linalg.eigh(t.entries)[1][:, -1] + 1e-3 * random_unit(n, rng) if d == 1 else random_unit(n, rng)
+        _, start, vec, g, value = self.polish(t, x / np.linalg.norm(x))
+        assert np.linalg.norm(g - value.real * vec) <= r1.POLISH_TOL * t.norm()
+        if n == 1:
+            assert vec[0] == pytest.approx(1.0, abs=1e-15)
+            assert value == pytest.approx(start.value, rel=1e-15)
+        else:
+            assert value.real == pytest.approx(np.linalg.eigvalsh(t.entries)[-1], rel=1e-14)
 
 
 class TestSolveSdp:

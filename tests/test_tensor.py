@@ -200,6 +200,67 @@ class TestPartialMap:
         assert np.allclose(y, 0.0)
 
 
+def _contract(t: tz.DenseTensor, conj_modes, x_modes, free, x):
+    """T contracted with conj(x) on conj_modes and x on x_modes, by einsum,
+    free modes kept in the order given."""
+    args = [t.entries, list(range(t.order))]
+    for k in conj_modes:
+        args += [np.conj(x), [k]]
+    for k in x_modes:
+        args += [x, [k]]
+    return np.einsum(*args, list(free))
+
+
+KERNEL_CASES = [(n, d) for d in (1, 2, 3) for n in (1, 2, 4)]
+
+
+class TestConjFormKernel:
+    """tz._ConjForm against einsum references and central differences, at
+    orders 2, 4 and 6 with n = 1, 2 and 4."""
+
+    @staticmethod
+    def point(n, d, seed):
+        t = random_cps_tensor(n, seed, d)
+        x = random_unit(n, np.random.default_rng(seed))
+        form = tz._ConjForm(t)
+        return t, x, form, form.at(x)
+
+    @pytest.mark.parametrize("n,d", KERNEL_CASES)
+    def test_matches_einsum(self, n, d):
+        t, x, form, at = self.point(n, d, 40 + n + d)
+        scale = max(t.norm(), 1.0)
+        g = _contract(t, range(1, d), range(d, 2 * d), [0], x)
+        a = d * _contract(t, range(1, d), range(d + 1, 2 * d), [0, d], x)
+        b = (d - 1) * _contract(t, range(2, d), range(d, 2 * d), [0, 1], x) if d > 1 else 0 * a
+        value = _contract(t, range(d), range(d, 2 * d), [], x)
+        got_a, got_b = form.derivatives(at)
+        assert np.allclose(at.g, g, rtol=0, atol=1e-13 * scale)
+        assert abs(at.value - value) <= 1e-13 * scale
+        assert np.allclose(got_a, a, rtol=0, atol=1e-13 * scale)
+        assert np.allclose(got_b, b, rtol=0, atol=1e-13 * scale)
+        assert form.norm == t.norm()
+
+    @pytest.mark.parametrize("n,d", KERNEL_CASES)
+    def test_central_differences(self, n, d):
+        # dg = A h + B conj(h): steps eps h and i eps h separate A and B
+        t, x, form, at = self.point(n, d, 50 + n + d)
+        a, b = form.derivatives(at)
+        h = random_unit(n, np.random.default_rng(60 + n + d))
+        eps = 1e-5
+        for direction in (h, 1j * h):
+            diff = (form.at(x + eps * direction).g - form.at(x - eps * direction).g) / (2 * eps)
+            expected = a @ direction + b @ np.conj(direction)
+            assert np.allclose(diff, expected, rtol=0, atol=1e-8 * max(t.norm(), 1.0))
+
+    @pytest.mark.parametrize("n,d", KERNEL_CASES)
+    def test_a_hermitian_b_symmetric(self, n, d):
+        t, _, form, at = self.point(n, d, 70 + n + d)
+        a, b = form.derivatives(at)
+        tol = 1e-13 * max(t.norm(), 1.0)
+        assert np.allclose(a, a.conj().T, rtol=0, atol=tol)
+        assert np.allclose(b, b.T, rtol=0, atol=tol)
+
+
 class TestAssemble:
     def test_single_unit_term(self):
         t = tz.assemble([tz.CpsTerm(1.0, np.array([1.0, 0.0]))], 2, 2)
