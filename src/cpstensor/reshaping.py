@@ -19,7 +19,7 @@ from .errors import (
     NotRankOne,
     SizeMismatch,
 )
-from .linalg import herm_eig
+from .linalg import herm_eig, require_hermitian
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
@@ -266,6 +266,16 @@ def extract_rank_one_vector(
     fixed by making the largest-modulus entry of x real positive (lowest
     index wins ties).  tol bounds the eigenvalue modulus ratio, the distance
     to the subspace and the reconstruction residual, each relative.
+
+    A trace screen runs before the eigendecomposition: with N = len(X), X
+    is not rank one when (tr X)^2 < ||X||_F^2 (1 - 2 N tol).  It never
+    rejects a matrix the ratio test accepts: if |w_i| <= tol |w_1| for every
+    i >= 2, then (tr X)^2 - ||X||_F^2 (1 - 2 N tol) >= w_1^2 (2 tol +
+    (N-1)(N-2) tol^2 + 2 N (N-1) tol^3) > 0, a margin that dwarfs round-off
+    for tol >> N eps.  So the outputs and exceptions are those of the ratio
+    test alone, and a matrix whose trace is small against its norm, as an
+    indefinite one's is, leaves after O(N^2) work instead of an O(N^3)
+    eigendecomposition.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (n**d, n**d):
@@ -273,7 +283,13 @@ def extract_rank_one_vector(
     pi = validate_permutation(pi, 2 * d)
     if not satisfies_conj_condition(pi, d):
         raise BadPermutation(f"{pi} violates the conjugate (Hermitian) condition")
-    eig = herm_eig(x)
+    h = require_hermitian(x)
+    norm = float(np.linalg.norm(h))
+    if 0.0 < norm < math.inf:  # a zero or non-finite X goes on to the ratio test
+        trace = float(np.sum(h.diagonal().real / norm))  # tr X / ||X||_F, free of overflow
+        if trace**2 < 1.0 - 2 * len(h) * tol:
+            raise NotRankOne(f"trace ratio {abs(trace):.3e} rules out rank one")
+    eig = herm_eig(h)
     ratio = eig.modulus_ratio()
     if ratio > tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
@@ -319,5 +335,10 @@ def _lift_factor(vec: np.ndarray, pi: tuple[int, ...], d: int) -> np.ndarray:
     """The unit a with M_pi(conj(x)^{ox d} (x) x^{ox d}) = a a^H: the Kronecker
     product of the row modes' factors.  Source modes of T's first half carry
     conj(x), those of the second half x; by the conjugate condition the
-    column modes carry the conjugate factors."""
-    return functools.reduce(np.kron, [np.conj(vec) if p <= d else vec for p in pi[:d]])
+    column modes carry the conjugate factors.  Built by outer products, as
+    tensor._kron_powers builds x^{ox k}; np.kron gives the same entries."""
+    factors = [np.conj(vec) if p <= d else vec for p in pi[:d]]
+    a = factors[0]
+    for f in factors[1:]:
+        a = np.multiply.outer(a, f).reshape(-1)
+    return a

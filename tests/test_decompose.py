@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cpstensor.decompose as dc
+import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
 from cpstensor.errors import (
     NotCps,
@@ -267,13 +268,27 @@ class TestFixedDesign:
             dc.cps_decompose(t)
         assert dc._cps_design.cache_info().misses == misses
 
-    def test_rank_one_single_term(self):
+    @pytest.mark.parametrize("coeff", [-2.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rank_one_single_term(self, d, coeff):
         rng = np.random.default_rng(48)
         a = random_unit(3, rng)
-        terms = dc.cps_decompose(tz.rank_one_cps(-2.0, a, 3))
+        terms = dc.cps_decompose(tz.rank_one_cps(coeff, a, d))
         assert len(terms) == 1
-        assert terms[0].coeff == pytest.approx(-2.0, abs=1e-10)
+        assert terms[0].coeff == pytest.approx(coeff, abs=1e-10)
         assert abs(abs(np.vdot(terms[0].vector, a)) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_generic_tensor_skips_eigendecomposition(self, n, d, monkeypatch):
+        # the trace screen rules out rank one before any spectrum is taken
+        def spy(x):
+            raise AssertionError("herm_eig called")
+
+        monkeypatch.setattr(rs, "herm_eig", spy)
+        monkeypatch.setattr(dc, "herm_eig", spy)
+        t = random_cps_tensor(n, 60 + n, d=d)
+        recon = tz.assemble(dc.cps_decompose(t), n, d)
+        assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
 
     def test_design_logged_once(self, caplog):
         t = random_cps_tensor(2, 49)

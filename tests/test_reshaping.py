@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
-from cpstensor.errors import BadPermutation, NotInSubspace, NotRankOne, SizeMismatch
+from cpstensor.errors import (
+    BadPermutation,
+    NonHermitianInput,
+    NotInSubspace,
+    NotRankOne,
+    SizeMismatch,
+    ZeroMatrix,
+)
 from cpstensor.linalg import top_singular_ratio
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
 
@@ -226,15 +234,21 @@ class TestRealCoordinates:
             assert np.max(np.abs(project(p) - p)) <= 1e-13
 
 
+@pytest.fixture
+def herm_eig_calls(monkeypatch):
+    """One entry per herm_eig call that reshaping makes."""
+    calls = []
+    herm_eig = rs.herm_eig
+    monkeypatch.setattr(rs, "herm_eig", lambda x: calls.append(1) or herm_eig(x))
+    return calls
+
+
 class TestExtraction:
-    def test_one_eigendecomposition(self, monkeypatch):
-        calls = []
-        herm_eig = rs.herm_eig
-        monkeypatch.setattr(rs, "herm_eig", lambda x: calls.append(1) or herm_eig(x))
+    def test_one_eigendecomposition(self, herm_eig_calls):
         rng = np.random.default_rng(16)
         x = rs.matricize_pi(tz.rank_one_cps(1.0, random_unit(3, rng), 2), rs.canonical_pi(2))
         rs.extract_rank_one_vector(x, rs.canonical_pi(2), 3, 2)
-        assert len(calls) == 1
+        assert len(herm_eig_calls) == 1
 
     def test_exact_round_trip(self):
         rng = np.random.default_rng(10)
@@ -314,6 +328,73 @@ class TestExtraction:
         with pytest.raises(NotInSubspace):
             rs.extract_rank_one_vector(x, rs.canonical_pi(2), 2, 2)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
+    def test_trace_screen_passes_near_boundary(self, tol, herm_eig_calls):
+        # Hermitian X = Q diag(w) Q^H with |w_i| just under tol |w_1| for
+        # i >= 2, worst when all of them sit at -tol |w_1| against w_1's sign:
+        # the screen lets each through to the ratio test, which accepts it;
+        # the subspace check or the residual may still reject it
+        rng = np.random.default_rng(19)
+        for n, d in [(2, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]:
+            size = n**d
+            for k in range(6):
+                z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                q, _ = np.linalg.qr(z)
+                w1 = (-1) ** k * rng.uniform(0.5, 3.0)
+                if k < 2:
+                    w = np.full(size, -np.sign(w1) * tol * abs(w1) * 0.999)
+                else:
+                    w = rng.uniform(-1.0, 1.0, size) * tol * abs(w1) * 0.999
+                w[0] = w1
+                try:
+                    rs.extract_rank_one_vector((q * w) @ q.conj().T, rs.canonical_pi(d), n, d, tol)
+                except (NotInSubspace, NotRankOne) as exc:
+                    assert "ratio" not in str(exc)
+        assert len(herm_eig_calls) == 8 * 6
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trace_screen_keeps_near_rank_one(self, d, herm_eig_calls):
+        # lam a a^H plus an opposite-signed rank-one CPS term on a unit b
+        # orthogonal to a, which makes the eigenvalue ratio 0.999 tol:
+        # accepted, and read off the top eigenpair
+        rng = np.random.default_rng(20 + d)
+        n, tol, pi = 3, 1e-6, rs.canonical_pi(d)
+        for lam in (2.0, -1.5):
+            a, b = random_unit(n, rng), random_unit(n, rng)
+            b -= np.vdot(a, b) * a
+            b /= np.linalg.norm(b)
+            terms = [tz.CpsTerm(lam, a), tz.CpsTerm(-0.999 * tol * lam, b)]
+            x = rs.matricize_pi(tz.assemble(terms, n, d), pi)
+            mods = np.sort(np.abs(np.linalg.eigvalsh(x)))
+            assert 0.99 * tol < mods[-2] / mods[-1] <= tol
+            vec, got = rs.extract_rank_one_vector(x, pi, n, d, tol)
+            assert got == pytest.approx(lam, rel=1e-12)
+            assert abs(abs(np.vdot(vec, a)) - 1.0) <= 1e-12
+        assert len(herm_eig_calls) == 2
+
+    def test_trace_screen_rejects_indefinite(self, monkeypatch):
+        monkeypatch.setattr(rs, "herm_eig", lambda x: pytest.fail("eigendecomposition ran"))
+        x = rs.matricize_pi(random_cps_tensor(3, 21), rs.canonical_pi(2))
+        with pytest.raises(NotRankOne, match="trace ratio"):
+            rs.extract_rank_one_vector(x, rs.canonical_pi(2), 3, 2)
+
+    def test_trace_screen_leaves_definite_to_ratio_test(self):
+        # (tr X)^2 >= ||X||_F^2 for a definite X: the ratio test decides
+        with pytest.raises(NotRankOne, match="eigenvalue ratio"):
+            rs.extract_rank_one_vector(-np.eye(9), rs.canonical_pi(2), 3, 2)
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (np.triu(np.ones((4, 4))), NonHermitianInput),
+            (np.zeros((4, 4)), ZeroMatrix),
+        ],
+        ids=["non-hermitian", "zero"],
+    )
+    def test_exception_classes_kept(self, x, error):
+        with pytest.raises(error):
+            rs.extract_rank_one_vector(x, rs.canonical_pi(2), 2, 2)
+
     def test_deterministic_phase(self):
         rng = np.random.default_rng(15)
         a = random_unit(3, rng)
@@ -332,3 +413,16 @@ class TestExtraction:
             rs.parse_permutation("1,2,2,3")
         with pytest.raises(BadPermutation):
             rs.parse_permutation("a,b")
+
+
+class TestLiftFactor:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "d, pi",
+        [(d, rs.canonical_pi(d)) for d in (1, 2, 3, 4)] + [(3, (2, 1, 4, 5, 6, 3))],
+    )
+    def test_matches_kron(self, n, d, pi):
+        assert rs.satisfies_conj_condition(pi, d) and rs.satisfies_rank_condition(pi, d)
+        vec = random_unit(n, np.random.default_rng(30 + d))
+        factors = [np.conj(vec) if p <= d else vec for p in pi[:d]]
+        assert np.array_equal(rs._lift_factor(vec, pi, d), functools.reduce(np.kron, factors))
