@@ -65,7 +65,6 @@ from .rank_one import (
     brute_force_max_eig,
     build_matrix_model,
     eigen_residual,
-    project_cps_subspace,
     solve_nuclear,
     solve_sdp,
 )

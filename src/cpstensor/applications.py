@@ -21,7 +21,7 @@ from . import rank_one as r1
 from . import reshaping as rs
 from . import tensor as tz
 from .rank_one import SolveReport, SolverOptions
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _json_int
 
 
 def shift_matrix(n: int, r: int) -> np.ndarray:
@@ -72,6 +72,8 @@ class RadarScenario:
     s0: np.ndarray = field(init=False, repr=False, compare=False)  # reference_code(n, s0_seed)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise RangeError(f"code length n must be at least 1, got {self.n}")
         if not math.isfinite(self.rho):
             raise RangeError(f"rho must be finite, got {self.rho}")
         object.__setattr__(self, "s0", reference_code(self.n, self.s0_seed))
@@ -267,16 +269,19 @@ def scenario_to_config(scenario: RadarScenario) -> dict:
 def scenario_from_config(cfg: dict) -> RadarScenario:
     """Build a scenario from the JSON config {n, m, rho, patches, s0_seed}."""
     patches = tuple(
-        ClutterPatch(int(p["r"]), tuple(int(f) for f in p["delta"]), float(p["sigma2"]))
+        ClutterPatch(
+            _json_int(p["r"], "r"),
+            tuple(_json_int(f, "delta") for f in p["delta"]),
+            float(p["sigma2"]),
+        )
         for p in cfg["patches"]
     )
-    n = int(cfg["n"])
     return RadarScenario(
-        n=n,
-        m=int(cfg["m"]),
+        n=_json_int(cfg["n"], "n"),
+        m=_json_int(cfg["m"], "m"),
         rho=float(cfg["rho"]),
         patches=patches,
-        s0_seed=int(cfg.get("s0_seed", 0)),
+        s0_seed=_json_int(cfg.get("s0_seed", 0), "s0_seed"),
     )
 
 

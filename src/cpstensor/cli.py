@@ -102,7 +102,7 @@ def _load_scenario(path: str) -> ap.RadarScenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return ap.scenario_from_config(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, ParseError) as exc:  # JSONDecodeError: ValueError
         raise ParseError(f"bad scenario file {path}: {type(exc).__name__}: {exc}") from None
 
 

@@ -47,7 +47,7 @@ from .errors import (
     ZeroMatrix,
 )
 from . import tensor as tz
-from .linalg import herm_eig
+from .linalg import _eigh
 from .reshaping import _canonical_phase, extract_rank_one_vector, matricize
 from .tensor import CpsTerm, DenseTensor, PsTerm
 
@@ -178,10 +178,10 @@ def spectral_split(t: DenseTensor) -> list[tuple[int, DenseTensor]]:
     d = t.half
     m = matricize(t)
     m = 0.5 * (m + m.conj().T)
-    eig = herm_eig(m)
+    mus, ws = _eigh(m)
     thr = max(TOL_DECOMP * t.norm(), 1e-12)
     out: list[tuple[int, DenseTensor]] = []
-    for mu, w in zip(eig.eigenvalues, eig.eigenvectors.T):
+    for mu, w in zip(mus[::-1], ws.T[::-1]):  # eigenvalues descending
         if abs(mu) <= thr:
             continue
         z = DenseTensor(t.n, d, math.sqrt(abs(mu)) * np.conj(w).reshape((t.n,) * d))
@@ -277,7 +277,6 @@ class CpsDesign(NamedTuple):
     gather: np.ndarray  # flat entry positions: H's diagonal, then its upper triangle
     lu: tuple  # lu_factor of the N^2 x N^2 coordinate matrix, one column per vector
     vectors: np.ndarray  # row k is the k-th unit vector
-    cond: float  # 2-norm condition number of the coordinate matrix
 
 
 @functools.lru_cache(maxsize=32)
@@ -305,10 +304,8 @@ def _cps_design(n: int, d: int) -> CpsDesign:
     system = np.concatenate([form.real, form.imag[:, size:]], axis=1).T
     _, pivots = scipy.linalg.qr(system, mode="r", pivoting=True)
     keep = np.sort(pivots[: size**2])
-    square = system[:, keep]
-    cond = float(np.linalg.cond(square))
-    log.debug("cps design n=%d d=%d terms=%d cond=%.3g", n, d, size**2, cond)
-    return CpsDesign(gather, scipy.linalg.lu_factor(square), cand[keep], cond)
+    log.debug("cps design n=%d d=%d terms=%d", n, d, size**2)
+    return CpsDesign(gather, scipy.linalg.lu_factor(system[:, keep]), cand[keep])
 
 
 def cps_decompose(t: DenseTensor) -> list[CpsTerm]:

@@ -1,12 +1,13 @@
 """Dense complex linear-algebra kernel used by every other module.
 
-Every Hermitian eigenproblem of the solve and certificate path runs through
-one kernel, ``_eigh``, which calls LAPACK's ``?syevr`` / ``?heevr`` directly
-(``scipy.linalg.eigh``'s argument checks cost more than the call itself at
-N = 16) and computes only the eigenpairs asked for: ``herm_eig`` all of them,
-the PSD projection those with w > 0, the soft threshold by tau those with
-w > tau unless a Cholesky factorization of H + tau I fails, and the dual
-bound in ``rank_one`` the largest eigenvalue alone.
+Every Hermitian eigenproblem runs through one kernel, ``_eigh``, which calls
+LAPACK's ``?syevr`` / ``?heevr`` directly (``scipy.linalg.eigh``'s argument
+checks cost more than the call itself at N = 16) and computes only the
+eigenpairs asked for: the PSD projection of ``_spectral_prox`` those with
+w > 0, its soft threshold by tau those with w > tau unless a Cholesky
+factorization of H + tau I fails, the dual bound in ``rank_one`` the largest
+eigenvalue alone, and the rank-one test in ``reshaping`` and the spectral
+split in ``decompose`` all of them.
 
 All functions are pure, operate on plain ``complex128`` numpy arrays (real
 ``float64`` input to the Hermitian routines stays real) and keep no shared
@@ -16,12 +17,11 @@ state, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NoConvergence, NonHermitianInput, RangeError, ZeroMatrix
+from .errors import NoConvergence, NonHermitianInput, ZeroMatrix
 
 TOL_STRUCT = 1e-8
 
@@ -30,23 +30,6 @@ ABS_FLOOR = 1e-12
 
 _EVR = {np.dtype(np.float64): lapack.dsyevr, np.dtype(np.complex128): lapack.zheevr}
 _POTRF = {np.dtype(np.float64): lapack.dpotrf, np.dtype(np.complex128): lapack.zpotrf}
-
-
-@dataclass(frozen=True)
-class HermEigen:
-    """Spectral decomposition X = V diag(w) V^H with real w in descending order."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k pairs with eigenvalues[k]
-
-    def modulus_ratio(self) -> float:
-        """|lambda_2| / |lambda_1| by modulus; zero means numerically rank one."""
-        mods = np.sort(np.abs(self.eigenvalues))[::-1]
-        if mods[0] <= 0.0:
-            raise ZeroMatrix("matrix is numerically zero")
-        if len(mods) == 1:
-            return 0.0
-        return float(mods[1] / mods[0])
 
 
 def require_hermitian(x: np.ndarray) -> np.ndarray:
@@ -94,12 +77,6 @@ def _eigh(
     return w[:m], v[:, :m]
 
 
-def herm_eig(x: np.ndarray) -> HermEigen:
-    """Full spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    w, v = _eigh(require_hermitian(x))
-    return HermEigen(eigenvalues=w[::-1], eigenvectors=v[:, ::-1])
-
-
 def _spectral_prox(x: np.ndarray, tau: float | None = None) -> np.ndarray:
     """Prox on the eigenvalues w of the Hermitian part H of x, unchecked: the
     PSD projection max(w, 0) without tau, else the soft threshold by tau.
@@ -119,22 +96,17 @@ def _spectral_prox(x: np.ndarray, tau: float | None = None) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
-def project_psd(x: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
-    return _spectral_prox(require_hermitian(x))
-
-
-def eig_soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
-    """Nuclear-norm proximal operator on Hermitian matrices.
-
-    Shrinks every eigenvalue toward zero by ``tau``, clamping at zero, which
-    keeps the sign pattern of the spectrum.
-    """
-    if tau < 0:
-        raise RangeError(f"tau must be nonnegative, got {tau}")
-    return _spectral_prox(require_hermitian(x), tau)
+def _modulus_ratio(w: np.ndarray) -> float:
+    """|lambda_2| / |lambda_1| of the eigenvalues w, in any order, by modulus;
+    zero means numerically rank one."""
+    mods = np.sort(np.abs(w))[::-1]
+    if mods[0] <= 0.0:
+        raise ZeroMatrix("matrix is numerically zero")
+    if len(mods) == 1:
+        return 0.0
+    return float(mods[1] / mods[0])
 
 
 def top_singular_ratio(x: np.ndarray) -> float:
     """|lambda_2| / |lambda_1| of a Hermitian matrix; zero means rank one."""
-    return herm_eig(x).modulus_ratio()
+    return _modulus_ratio(_eigh(require_hermitian(x), vectors=False)[0])

@@ -35,7 +35,6 @@ from .errors import (
     NotCps,
     NotUnit,
     RangeError,
-    SizeMismatch,
     UnsupportedDimension,
 )
 from . import reshaping as rs
@@ -172,14 +171,6 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
         tensor=t, pi=pi, n=t.n, d=d, C=data, frame=frame, c=c, project=project,
         p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(max(-w[0], w[-1])),
     )
-
-
-def project_cps_subspace(x: np.ndarray, model: MatrixModel) -> np.ndarray:
-    """Orthogonal projection onto M_pi(CPS): an orbit average and gather."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (model.size, model.size):
-        raise SizeMismatch(f"expected shape {(model.size, model.size)}")
-    return rs.cps_projector(model.n, model.d, model.pi)(x)
 
 
 class _Step(NamedTuple):

@@ -19,7 +19,7 @@ from .errors import (
     NotRankOne,
     SizeMismatch,
 )
-from .linalg import herm_eig, require_hermitian
+from .linalg import _eigh, _modulus_ratio, require_hermitian
 from .tensor import DenseTensor
 
 RANK1_TOL = 1e-6
@@ -289,16 +289,16 @@ def extract_rank_one_vector(
         trace = float(np.sum(h.diagonal().real / norm))  # tr X / ||X||_F, free of overflow
         if trace**2 < 1.0 - 2 * len(h) * tol:
             raise NotRankOne(f"trace ratio {abs(trace):.3e} rules out rank one")
-    eig = herm_eig(h)
-    ratio = eig.modulus_ratio()
+    w, v = _eigh(h)
+    ratio = _modulus_ratio(w)
     if ratio > tol:
         raise NotRankOne(f"second/first eigenvalue ratio {ratio:.3e} too large")
     scale = max(np.linalg.norm(x), 1e-300)
     if np.linalg.norm(x - cps_projector(n, d, pi)(x)) / scale > max(tol, 1e-8):
         raise NotInSubspace("matrix does not lie in the matricized CPS subspace")
 
-    top_idx = int(np.argmax(np.abs(eig.eigenvalues)))
-    vec = _oriented_vector(eig.eigenvectors[:, top_idx], pi, n, d)
+    top = len(w) - 1 - int(np.argmax(np.abs(w[::-1])))  # the larger of a modulus tie
+    vec = _oriented_vector(v[:, top], pi, n, d)
     pattern = _rank_one_lift(vec, pi, d)
     lam = float(np.vdot(pattern, x).real)  # least-squares coefficient, ||pattern|| = 1
     res = np.linalg.norm(x - lam * pattern) / scale

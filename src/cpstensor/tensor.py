@@ -311,11 +311,19 @@ def tensor_to_json(t: DenseTensor) -> str:
     return json.dumps(payload)
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON document: a fractional or non-finite number
+    raises ParseError instead of being truncated or overflowing int()."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def tensor_from_json(text: str) -> DenseTensor:
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
-        order = int(payload["d"])
+        n = _json_int(payload["n"], "n")
+        order = _json_int(payload["d"], "d")
         pairs = payload["entries"]
         flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

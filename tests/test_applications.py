@@ -6,7 +6,7 @@ import pytest
 import cpstensor.applications as ap
 import cpstensor.rank_one as r1
 import cpstensor.tensor as tz
-from cpstensor.errors import NotSymmetric, RangeError, Uncertified
+from cpstensor.errors import NotSymmetric, ParseError, RangeError, Uncertified
 from conftest import random_unit
 
 
@@ -113,6 +113,21 @@ class TestRadar:
         back = ap.scenario_from_config(json.loads(json.dumps(ap.scenario_to_config(scenario))))
         assert back == scenario
         assert np.array_equal(back.s0, ap.reference_code(4, seed))
+
+    def test_empty_code_is_range_error(self):
+        with pytest.raises(RangeError, match="at least 1"):
+            ap.RadarScenario(n=0, m=2, rho=30.0, patches=(), s0_seed=0)
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 1e400), ("n", 3.5), ("m", 2.5), ("s0_seed", 1e400), ("r", 1e400),
+                       ("delta", 1.5)],
+    )
+    def test_config_integer_field_not_whole_is_parse_error(self, key, value):
+        cfg = ap.scenario_to_config(ap.default_scenario(4, s0_seed=1))
+        fields = cfg["patches"][0] if key in ("r", "delta") else cfg
+        fields[key] = [value] if key == "delta" else value
+        with pytest.raises(ParseError, match=f"{key} must be an integer, got"):
+            ap.scenario_from_config(cfg)
 
     def test_reference_code_unit_modulus(self):
         s0 = ap.reference_code(6, 3)

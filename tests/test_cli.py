@@ -58,6 +58,16 @@ class TestValidate:
         path.write_text("{broken")
         assert main(["validate", str(path)]) == 3
 
+    @pytest.mark.parametrize("value", ["1e400", "2.5"])
+    def test_integer_field_not_whole_exits_3(self, tmp_path, capsys, value):
+        # 1e400 parses as infinity, which int() used to overflow on (exit 1)
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": %s, "d": 4, "entries": []}' % value)
+        assert main(["validate", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: n must be an integer") and err.count("\n") == 1
+
 
 class TestDecompose:
     def test_rank_one_single_term(self, rank_one_file, capsys):
@@ -391,9 +401,14 @@ class TestExperiment:
             '{"n": 4, "m": 4, "rho": 10.0, "patches": [{"r": 0, "delta": [1], "sigma2": NaN}]}',
             '{"n": 4, "m": 4, "rho": 10.0,'
             ' "patches": [{"r": 0, "delta": [1], "sigma2": Infinity}]}',
+            '{"n": 0, "m": 2, "rho": 30, "patches": [], "s0_seed": 0}',
+            '{"n": 4, "m": 4, "rho": 10.0, "patches": [], "s0_seed": 1e400}',
+            '{"n": 4, "m": 4, "rho": 10.0, "patches": [{"r": 1e400, "delta": [1], "sigma2": 1}]}',
+            '{"n": 4.5, "m": 4, "rho": 10.0, "patches": []}',
         ],
         ids=["range_bin", "no_patches", "bad_json", "negative_seed",
-             "nan_rho", "infinite_rho", "nan_sigma2", "infinite_sigma2"],
+             "nan_rho", "infinite_rho", "nan_sigma2", "infinite_sigma2",
+             "empty_code", "overflow_seed", "overflow_range_bin", "fractional_n"],
     )
     def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
@@ -402,7 +417,7 @@ class TestExperiment:
         assert code == 3
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: ")
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_global_seed_flag(self, tmp_path):
         out = tmp_path / "rows.csv"

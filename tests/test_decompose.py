@@ -256,10 +256,19 @@ class TestFixedDesign:
         assert all(np.array_equal(x.vector, y.vector) for x, y in zip(first, second))
 
     def test_condition_numbers(self):
+        # the square coordinate matrix, rebuilt column by column: the gathered
+        # entries of each design vector's rank-one CPS tensor, split into real
+        # and imaginary parts as cps_decompose splits T's
         for d in (1, 2, 3):
             for n in range(1, 6):
-                if math.comb(n + d - 1, d) ** 2 <= dc.MAX_DESIGN_TERMS:
-                    assert dc._cps_design(n, d).cond <= 1e4, (n, d)
+                size = math.comb(n + d - 1, d)
+                if size**2 <= dc.MAX_DESIGN_TERMS:
+                    design = dc._cps_design(n, d)
+                    columns = []
+                    for a in design.vectors:
+                        vals = tz.rank_one_cps(1.0, a, d).entries.reshape(-1)[design.gather]
+                        columns.append(np.concatenate([vals.real, vals.imag[size:]]))
+                    assert np.linalg.cond(np.array(columns).T) <= 1e4, (n, d)
 
     def test_budget_before_design(self):
         t = random_cps_tensor(9, 47)  # N = 45, N^2 = 2025
@@ -281,11 +290,11 @@ class TestFixedDesign:
     @pytest.mark.parametrize("n, d", [(3, 2), (4, 2), (2, 3), (3, 3)])
     def test_generic_tensor_skips_eigendecomposition(self, n, d, monkeypatch):
         # the trace screen rules out rank one before any spectrum is taken
-        def spy(x):
-            raise AssertionError("herm_eig called")
+        def spy(*args, **kwargs):
+            raise AssertionError("_eigh called")
 
-        monkeypatch.setattr(rs, "herm_eig", spy)
-        monkeypatch.setattr(dc, "herm_eig", spy)
+        monkeypatch.setattr(rs, "_eigh", spy)
+        monkeypatch.setattr(dc, "_eigh", spy)
         t = random_cps_tensor(n, 60 + n, d=d)
         recon = tz.assemble(dc.cps_decompose(t), n, d)
         assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()

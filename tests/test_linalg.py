@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from cpstensor import linalg
-from cpstensor.errors import NonHermitianInput, RangeError, ZeroMatrix
-from cpstensor.linalg import (
-    HermEigen,
-    eig_soft_threshold,
-    herm_eig,
-    project_psd,
-    top_singular_ratio,
-)
+from cpstensor.errors import ZeroMatrix
+from cpstensor.linalg import top_singular_ratio
 
 
 def random_hermitian(n, seed):
@@ -37,46 +31,38 @@ def reference_prox(x, tau=None):
 
 
 class TestHermEig:
+    # the eigen kernel itself, _eigh: eigenvalues ascending
     def test_identity(self):
-        eig = herm_eig(np.eye(3, dtype=complex))
-        assert np.allclose(eig.eigenvalues, [1, 1, 1])
+        w, _ = linalg._eigh(np.eye(3, dtype=complex))
+        assert np.allclose(w, [1, 1, 1])
 
     def test_pauli_y_spectrum(self):
-        x = np.array([[0, -1j], [1j, 0]])
-        eig = herm_eig(x)
-        assert np.allclose(eig.eigenvalues, [1, -1])
+        w, _ = linalg._eigh(np.array([[0, -1j], [1j, 0]]))
+        assert np.allclose(w, [-1, 1])
 
     def test_reconstruction_residual(self):
         x = random_hermitian(10, 0)
-        eig = herm_eig(x)
-        v, w = eig.eigenvectors, eig.eigenvalues
+        w, v = linalg._eigh(x.copy())
         assert np.linalg.norm(x - (v * w) @ v.conj().T) <= 1e-10 * np.linalg.norm(x)
         assert np.linalg.norm(v.conj().T @ v - np.eye(10)) <= 1e-10
 
-    def test_descending_order(self):
-        eig = herm_eig(random_hermitian(8, 1))
-        assert np.all(np.diff(eig.eigenvalues) <= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
 
 class TestProjectPsd:
+    # the PSD projection is the prox without tau
     def test_clips_negative_eigenvalues(self):
-        out = project_psd(np.diag([1.0, -2.0]).astype(complex))
+        out = linalg._spectral_prox(np.diag([1.0, -2.0]).astype(complex))
         assert np.allclose(out, np.diag([1.0, 0.0]))
 
     def test_idempotent_on_cone(self):
         x = random_hermitian(5, 2)
-        p = project_psd(x)
-        assert np.allclose(project_psd(p), p, atol=1e-10)
+        p = linalg._spectral_prox(x)
+        assert np.allclose(linalg._spectral_prox(p), p, atol=1e-10)
 
     def test_variational_optimality_2x2(self):
         # projection characterization: Re<X - P(X), Y - P(X)> <= 0 for PSD Y
         rng = np.random.default_rng(3)
         x = random_hermitian(2, 3)
-        p = project_psd(x)
+        p = linalg._spectral_prox(x)
         for _ in range(200):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             y = g @ g.conj().T  # exhaustive over the cone via random factors
@@ -84,29 +70,26 @@ class TestProjectPsd:
 
     def test_min_eigenvalue_floor(self):
         x = random_hermitian(6, 4)
-        w = np.linalg.eigvalsh(project_psd(x))
+        w = np.linalg.eigvalsh(linalg._spectral_prox(x))
         assert w.min() >= -1e-10 * np.linalg.norm(x)
 
 
 class TestEigSoftThreshold:
+    # the nuclear-norm prox on Hermitian matrices is the prox with tau
     def test_zero_tau_is_identity(self):
         x = random_hermitian(4, 5)
-        assert np.allclose(eig_soft_threshold(x, 0.0), x, atol=1e-12)
+        assert np.allclose(linalg._spectral_prox(x, 0.0), x, atol=1e-12)
 
     def test_scalar_shrinkage(self):
-        out = eig_soft_threshold(np.diag([3.0, -1.0]).astype(complex), 2.0)
+        out = linalg._spectral_prox(np.diag([3.0, -1.0]).astype(complex), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]))
-
-    def test_negative_tau_is_range_error(self):
-        with pytest.raises(RangeError):
-            eig_soft_threshold(random_hermitian(3, 0), -0.1)
 
     def test_prox_inequality_sampled(self):
         # z = prox iff 0.5||z-x||^2 + tau||z||_* minimizes; sample competitors
         rng = np.random.default_rng(6)
         x = random_hermitian(4, 6)
         tau = 0.5
-        z = eig_soft_threshold(x, tau)
+        z = linalg._spectral_prox(x, tau)
         fz = 0.5 * np.linalg.norm(z - x) ** 2 + tau * np.abs(np.linalg.eigvalsh(z)).sum()
         for scale in (1e-3, 1e-1, 1.0):
             for _ in range(50):
@@ -121,8 +104,8 @@ class TestEigSoftThreshold:
         rng = np.random.default_rng(7)
         x = random_hermitian(5, 7)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        lhs = eig_soft_threshold(q @ x @ q.conj().T, 0.3)
-        rhs = q @ eig_soft_threshold(x, 0.3) @ q.conj().T
+        lhs = linalg._spectral_prox(q @ x @ q.conj().T, 0.3)
+        rhs = q @ linalg._spectral_prox(x, 0.3) @ q.conj().T
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -180,9 +163,9 @@ class TestSubsetProx:
     def test_psd_projection(self, name, is_complex, selects):
         for x in self.inputs(self.SPECTRA[name], is_complex):
             ref = reference_prox(x)
-            for out in (linalg._spectral_prox(x), project_psd(x)):
-                assert out.dtype == x.dtype
-                assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+            out = linalg._spectral_prox(x)
+            assert out.dtype == x.dtype
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
         assert set(selects) == {"V"}
 
     @pytest.mark.parametrize("is_complex", [False, True])
@@ -190,9 +173,9 @@ class TestSubsetProx:
     def test_soft_threshold(self, name, is_complex, selects):
         for x in self.inputs(self.SPECTRA[name], is_complex):
             ref = reference_prox(x, self.TAU)
-            for out in (linalg._spectral_prox(x, self.TAU), eig_soft_threshold(x, self.TAU)):
-                assert out.dtype == x.dtype
-                assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+            out = linalg._spectral_prox(x, self.TAU)
+            assert out.dtype == x.dtype
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
         # all eigenpairs only when some eigenvalue lies below -tau, where the
         # Cholesky factorization of H + tau I fails; at -tau itself either
         low = min(self.SPECTRA[name])
@@ -201,8 +184,8 @@ class TestSubsetProx:
 
     def test_empty_kept_set_is_zero(self):
         x = with_spectrum(self.SPECTRA["all negative"], True, 13)
-        assert np.array_equal(project_psd(x), np.zeros_like(x))
-        assert np.array_equal(eig_soft_threshold(0.1 * x, self.TAU), np.zeros_like(x))
+        assert np.array_equal(linalg._spectral_prox(x), np.zeros_like(x))
+        assert np.array_equal(linalg._spectral_prox(0.1 * x, self.TAU), np.zeros_like(x))
 
     def test_non_finite_input_gives_nan(self):
         x = np.eye(4)

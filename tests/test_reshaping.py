@@ -235,20 +235,20 @@ class TestRealCoordinates:
 
 
 @pytest.fixture
-def herm_eig_calls(monkeypatch):
-    """One entry per herm_eig call that reshaping makes."""
+def eigh_calls(monkeypatch):
+    """One entry per eigendecomposition (_eigh call) that reshaping makes."""
     calls = []
-    herm_eig = rs.herm_eig
-    monkeypatch.setattr(rs, "herm_eig", lambda x: calls.append(1) or herm_eig(x))
+    eigh = rs._eigh
+    monkeypatch.setattr(rs, "_eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
     return calls
 
 
 class TestExtraction:
-    def test_one_eigendecomposition(self, herm_eig_calls):
+    def test_one_eigendecomposition(self, eigh_calls):
         rng = np.random.default_rng(16)
         x = rs.matricize_pi(tz.rank_one_cps(1.0, random_unit(3, rng), 2), rs.canonical_pi(2))
         rs.extract_rank_one_vector(x, rs.canonical_pi(2), 3, 2)
-        assert len(herm_eig_calls) == 1
+        assert len(eigh_calls) == 1
 
     def test_exact_round_trip(self):
         rng = np.random.default_rng(10)
@@ -329,7 +329,7 @@ class TestExtraction:
             rs.extract_rank_one_vector(x, rs.canonical_pi(2), 2, 2)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
-    def test_trace_screen_passes_near_boundary(self, tol, herm_eig_calls):
+    def test_trace_screen_passes_near_boundary(self, tol, eigh_calls):
         # Hermitian X = Q diag(w) Q^H with |w_i| just under tol |w_1| for
         # i >= 2, worst when all of them sit at -tol |w_1| against w_1's sign:
         # the screen lets each through to the ratio test, which accepts it;
@@ -350,10 +350,10 @@ class TestExtraction:
                     rs.extract_rank_one_vector((q * w) @ q.conj().T, rs.canonical_pi(d), n, d, tol)
                 except (NotInSubspace, NotRankOne) as exc:
                     assert "ratio" not in str(exc)
-        assert len(herm_eig_calls) == 8 * 6
+        assert len(eigh_calls) == 8 * 6
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_trace_screen_keeps_near_rank_one(self, d, herm_eig_calls):
+    def test_trace_screen_keeps_near_rank_one(self, d, eigh_calls):
         # lam a a^H plus an opposite-signed rank-one CPS term on a unit b
         # orthogonal to a, which makes the eigenvalue ratio 0.999 tol:
         # accepted, and read off the top eigenpair
@@ -370,13 +370,21 @@ class TestExtraction:
             vec, got = rs.extract_rank_one_vector(x, pi, n, d, tol)
             assert got == pytest.approx(lam, rel=1e-12)
             assert abs(abs(np.vdot(vec, a)) - 1.0) <= 1e-12
-        assert len(herm_eig_calls) == 2
+        assert len(eigh_calls) == 2
 
     def test_trace_screen_rejects_indefinite(self, monkeypatch):
-        monkeypatch.setattr(rs, "herm_eig", lambda x: pytest.fail("eigendecomposition ran"))
+        monkeypatch.setattr(rs, "_eigh", lambda *a, **kw: pytest.fail("eigendecomposition ran"))
         x = rs.matricize_pi(random_cps_tensor(3, 21), rs.canonical_pi(2))
         with pytest.raises(NotRankOne, match="trace ratio"):
             rs.extract_rank_one_vector(x, rs.canonical_pi(2), 3, 2)
+
+    @pytest.mark.parametrize("diag", [[1.0, -1.0], [-1.0, 1.0]])
+    def test_modulus_tie_reads_larger_eigenvalue(self, diag):
+        # a tol of 1 lets a modulus tie through: the eigenvector of +1 is read
+        x = np.diag(diag).astype(complex)
+        vec, lam = rs.extract_rank_one_vector(x, (1, 2), 2, 1, tol=1.0)
+        assert lam == 1.0
+        assert np.array_equal(vec, np.array(diag) > 0)
 
     def test_trace_screen_leaves_definite_to_ratio_test(self):
         # (tr X)^2 >= ||X||_F^2 for a definite X: the ratio test decides

@@ -337,6 +337,20 @@ class TestSerialization:
         with pytest.raises(tz.ParseError):
             tz.tensor_from_json('{"n": 2, "d": 2, "entries": [[0, 0]]}')
 
+    @pytest.mark.parametrize(
+        "n, d", [("1e400", "2"), ("2.5", "2"), ("NaN", "2"), ("2", "-1e400"), ("2", "4.5")]
+    )
+    def test_integer_field_not_whole_is_parse_error(self, n, d):
+        # an infinite value used to overflow int(), a fractional one to truncate
+        text = f'{{"n": {n}, "d": {d}, "entries": {[[0, 0]] * 4}}}'
+        with pytest.raises(ParseError, match="must be an integer, got"):
+            tz.tensor_from_json(text)
+
+    def test_whole_float_integer_field(self):
+        t = tz.tensor_from_json('{"n": 2.0, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}')
+        assert (t.n, t.order) == (2, 2)
+        assert np.array_equal(t.entries, np.eye(2))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 3), st.integers(1, 4), st.data())
