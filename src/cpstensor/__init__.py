@@ -23,8 +23,6 @@ from .tensor import (
     conj_form_eval,
     conj_transpose,
     frob_inner,
-    frob_norm,
-    from_entries,
     hermitian_part,
     is_cps,
     is_ps,
@@ -72,7 +70,6 @@ from .applications import (
     RadarScenario,
     cps_from_sesqui_forms,
     default_scenario,
-    perturb_and_retry,
     radar_tensor,
     random_cps,
     shift_matrix,

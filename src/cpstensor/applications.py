@@ -21,7 +21,7 @@ from . import rank_one as r1
 from . import reshaping as rs
 from . import tensor as tz
 from .rank_one import SolveReport, SolverOptions
-from .tensor import DenseTensor, _json_int
+from .tensor import DenseTensor, _json_int, _json_real
 
 
 def shift_matrix(n: int, r: int) -> np.ndarray:
@@ -201,45 +201,16 @@ def us_eigen(
     nonnegative; the US-eigenvalue is the nonnegative square root of the
     certified eigenpair's value, |<Z, x^{ox d}>|^2 at the returned x (of the
     perturbed Z for a retry), which does not carry the solver's error in
-    <C, X>.  Uncertified solves fall back to perturb-and-retry when
-    retries > 0.
+    <C, X>.  An uncertified solve of Z is retried up to `retries` times on
+    Z + eps E / ||E||, E = random_symmetric(n, d, s) for s = seed,
+    seed + 1, ...; distinct seeds may surface distinct eigenvectors of a
+    degenerate maximum.  `attempts` logs each solve as
+    (seed, certified, objective), seed None for Z itself.
     """
-    return _first_certified(z, [None, *range(seed, seed + retries)], eps, opts)
-
-
-def _us_pair_from_report(z: DenseTensor, report: SolveReport) -> tuple[float, np.ndarray]:
-    x = report.eigenpair.vector
-    theta = np.angle(symmetric_power_inner(z, x))
-    vec = np.exp(-1j * theta / z.order) * x
-    lam = math.sqrt(max(report.eigenpair.value, 0.0))
-    return lam, vec
-
-
-def perturb_and_retry(
-    z: DenseTensor,
-    eps: float,
-    attempts: int,
-    opts: SolverOptions | None = None,
-    seed: int = 0,
-) -> UsEigenResult:
-    """Re-solve with tiny random symmetric perturbations until certified.
-
-    Each attempt draws an independent symmetric complex E scaled to norm eps;
-    distinct seeds may surface distinct eigenvectors of a degenerate maximum.
-    """
-    return _first_certified(z, range(seed, seed + attempts), eps, opts)
-
-
-def _first_certified(
-    z: DenseTensor, seeds, eps: float, opts: SolverOptions | None
-) -> UsEigenResult:
-    """Solve the lift of z perturbed by each seed's E in turn (seed None: z
-    itself) and return the first certified attempt, logging each one as
-    (seed, certified, objective)."""
     if not 0.0 <= eps < math.inf:
         raise RangeError(f"eps must be a finite number >= 0, got {eps}")
     log = []
-    for s in seeds:
+    for s in [None, *range(seed, seed + retries)]:
         zp = z
         if s is not None and eps != 0.0:
             e = random_symmetric(z.n, z.order, s)
@@ -250,6 +221,14 @@ def _first_certified(
             lam, vec = _us_pair_from_report(zp, report)
             return UsEigenResult(lam, vec, report, log)
     raise Uncertified(f"no certified rank-one solution in {len(log)} attempts")
+
+
+def _us_pair_from_report(z: DenseTensor, report: SolveReport) -> tuple[float, np.ndarray]:
+    x = report.eigenpair.vector
+    theta = np.angle(symmetric_power_inner(z, x))
+    vec = np.exp(-1j * theta / z.order) * x
+    lam = math.sqrt(max(report.eigenpair.value, 0.0))
+    return lam, vec
 
 
 def scenario_to_config(scenario: RadarScenario) -> dict:
@@ -272,14 +251,14 @@ def scenario_from_config(cfg: dict) -> RadarScenario:
         ClutterPatch(
             _json_int(p["r"], "r"),
             tuple(_json_int(f, "delta") for f in p["delta"]),
-            float(p["sigma2"]),
+            _json_real(p["sigma2"], "sigma2"),
         )
         for p in cfg["patches"]
     )
     return RadarScenario(
         n=_json_int(cfg["n"], "n"),
         m=_json_int(cfg["m"], "m"),
-        rho=float(cfg["rho"]),
+        rho=_json_real(cfg["rho"], "rho"),
         patches=patches,
         s0_seed=_json_int(cfg.get("s0_seed", 0), "s0_seed"),
     )

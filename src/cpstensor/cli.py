@@ -136,7 +136,7 @@ def cmd_validate(args) -> int:
 def cmd_decompose(args) -> int:
     t = args.tensor
     terms = dc.cps_decompose(t)
-    recon = tz.assemble(terms, t.n, t.half) if terms else tz.zero(t.n, t.order)
+    recon = tz.assemble(terms, t.n, t.half)
     residual = float(np.linalg.norm(recon.entries - t.entries))
     payload = {
         "terms": [

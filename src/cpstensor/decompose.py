@@ -146,8 +146,7 @@ def merge_terms(terms, d: int) -> list[CpsTerm]:
     is fixed by the canonical keys, so merging is deterministic.  Terms whose
     merged coefficient is exactly zero are dropped.
     """
-    buckets: dict[bytes, tuple[np.ndarray, float]] = {}
-    order: list[bytes] = []
+    buckets: dict[bytes, tuple[np.ndarray, float]] = {}  # in first-seen order
     for term in terms:
         a = np.asarray(term.vector, dtype=complex)
         nrm = np.linalg.norm(a)
@@ -161,13 +160,7 @@ def merge_terms(terms, d: int) -> list[CpsTerm]:
             buckets[key] = (vec, acc + lam)
         else:
             buckets[key] = (u, lam)
-            order.append(key)
-    out = []
-    for key in order:
-        vec, lam = buckets[key]
-        if abs(lam) > 0.0:
-            out.append(CpsTerm(lam, vec))
-    return out
+    return [CpsTerm(lam, vec) for vec, lam in buckets.values() if abs(lam) > 0.0]
 
 
 def spectral_split(t: DenseTensor) -> list[tuple[int, DenseTensor]]:

@@ -92,10 +92,6 @@ class MatrixModel:
     p_eye: np.ndarray  # project(I)
     c_norm: float  # ||C||_2, the same in all coordinates
 
-    @property
-    def size(self) -> int:
-        return self.n**self.d
-
 
 @dataclass
 class SolveReport:
@@ -341,13 +337,13 @@ class _BracketCheck:
     each (_polish); the first is polished from the read x or from the last
     check's polished x, whichever has the larger conjugate form.  Forms,
     partial maps and their derivatives come from one tz._ConjForm, built
-    with the check.  L is the
-    conjugate form at a read or polished candidate that passes the eigen
-    tests, the largest first (_close), a lower bound on the maximum.  U is
-    the smaller of dual_bound(model, u) and, when that misses GAP_TOL by
-    less than COMPLETE_GATE, the completed bound (_completed_bound).  A
-    completion that does not close the bracket pauses completions for 1, 2,
-    4, ... up to COMPLETE_MAX_PAUSE checks.  The loop checks every
+    with the check.  L is the conjugate form at a read or polished
+    candidate that passes the eigen tests, the largest first (_close), a
+    lower bound on the maximum.  U is the smaller of the top eigenvalue of
+    _dual_matrix(model, u) and, when that misses GAP_TOL by less than
+    COMPLETE_GATE, the completed bound (_completed_bound).  A completion
+    that does not close the bracket pauses completions for 1, 2, 4, ... up
+    to COMPLETE_MAX_PAUSE checks.  The loop checks every
     BRACKET_EVERY passes while the next check may complete the dual, else
     every ADAPT_EVERY passes (due), so that solves far from closing pay for
     no more checks than that, and once more at a tol or max_iter stop
@@ -623,13 +619,6 @@ def _passes_eigen_tests(t_norm: float, value: complex, res: float) -> bool:
     EIG_TOL max(1, ||T||_F)."""
     tol = EIG_TOL * max(1.0, t_norm)
     return bool(res <= tol and abs(value.imag) <= tol)
-
-
-def dual_bound(model: MatrixModel, u: np.ndarray) -> float:
-    """An upper bound on <C, X> over the SDP's feasible set, hence on the
-    largest C-eigenvalue, from an ADMM multiplier u: the top eigenvalue of
-    C - W for the W of _dual_matrix."""
-    return _top_eigenvalue(_dual_matrix(model, u))
 
 
 def _dual_matrix(model: MatrixModel, u: np.ndarray) -> np.ndarray:

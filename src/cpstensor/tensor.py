@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,10 +61,6 @@ class DenseTensor:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
-
-
-def from_entries(n: int, order: int, entries) -> DenseTensor:
-    return DenseTensor(n=n, order=order, entries=np.asarray(entries, dtype=complex))
 
 
 def zero(n: int, order: int) -> DenseTensor:
@@ -161,10 +158,6 @@ def frob_inner(u: DenseTensor, v: DenseTensor) -> complex:
     if u.n != v.n or u.order != v.order:
         raise SizeMismatch("shape mismatch in inner product")
     return complex(np.vdot(u.entries, v.entries))
-
-
-def frob_norm(t: DenseTensor) -> float:
-    return t.norm()
 
 
 def _kron_powers(x: np.ndarray, d: int) -> list[np.ndarray]:
@@ -312,11 +305,23 @@ def tensor_to_json(t: DenseTensor) -> str:
 
 
 def _json_int(value, name: str) -> int:
-    """An integer field of a JSON document: a fractional or non-finite number
-    raises ParseError instead of being truncated or overflowing int()."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ParseError(f"{name} must be an integer, got {value}")
+    """An integer field of a JSON document: an integer or a whole float.  A
+    fraction, an infinity, a boolean or a string raises ParseError instead
+    of being truncated, overflowing int() or converted."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_real(value, name: str) -> float:
+    """A real field of a JSON document: a number.  A boolean or a string
+    raises ParseError instead of being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParseError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def tensor_from_json(text: str) -> DenseTensor:
@@ -325,7 +330,10 @@ def tensor_from_json(text: str) -> DenseTensor:
         n = _json_int(payload["n"], "n")
         order = _json_int(payload["d"], "d")
         pairs = payload["entries"]
-        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        flat = np.array(
+            [complex(_json_real(re, "entry"), _json_real(im, "entry")) for re, im in pairs],
+            dtype=complex,
+        )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed tensor JSON: {exc}") from exc
     if flat.size != n**order:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -120,13 +121,23 @@ class TestRadar:
 
     @pytest.mark.parametrize(
         "key, value", [("n", 1e400), ("n", 3.5), ("m", 2.5), ("s0_seed", 1e400), ("r", 1e400),
-                       ("delta", 1.5)],
+                       ("delta", 1.5), ("n", True), ("m", "5"), ("s0_seed", False),
+                       ("r", True), ("delta", "1")],
     )
     def test_config_integer_field_not_whole_is_parse_error(self, key, value):
         cfg = ap.scenario_to_config(ap.default_scenario(4, s0_seed=1))
         fields = cfg["patches"][0] if key in ("r", "delta") else cfg
         fields[key] = [value] if key == "delta" else value
         with pytest.raises(ParseError, match=f"{key} must be an integer, got"):
+            ap.scenario_from_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [("rho", "30"), ("rho", True), ("sigma2", "1"),
+                                            ("sigma2", None)])
+    def test_config_real_field_not_a_number_is_parse_error(self, key, value):
+        cfg = ap.scenario_to_config(ap.default_scenario(4, s0_seed=1))
+        fields = cfg["patches"][0] if key == "sigma2" else cfg
+        fields[key] = value
+        with pytest.raises(ParseError, match=f"{key} must be a number, got"):
             ap.scenario_from_config(cfg)
 
     def test_reference_code_unit_modulus(self):
@@ -226,10 +237,10 @@ class TestUsEigen:
 class TestPerturbAndRetry:
     def test_zero_eps_matches_direct(self):
         direct = ap.us_eigen(ap.useig_benchmark("a"))
-        retried = ap.perturb_and_retry(ap.useig_benchmark("a"), 0.0, attempts=1)
+        retried = ap.us_eigen(ap.useig_benchmark("a"), retries=1, eps=0.0)
         assert retried.value == pytest.approx(direct.value, abs=1e-12)
 
-    def test_benchmark_b_certifies_unperturbed(self):
+    def test_benchmark_b_certifies_unperturbed(self, monkeypatch):
         # b's maxima are degenerate: its lift's X has rank 2 at the stop, and
         # the check there reads a maximizer off X's top eigenspace.  A
         # perturbed retry solves a tensor with a single maximizer
@@ -239,8 +250,17 @@ class TestPerturbAndRetry:
         # (seed + k, certified, objective) per perturbed attempt; the last certifies
         assert [(s, c) for s, c, _ in res.attempts] == [(None, True)]
         assert res.attempts[-1][2] == res.report.objective
-        retried = ap.perturb_and_retry(ap.useig_benchmark("b"), 1e-4, attempts=5, seed=0)
-        assert [(s, c) for s, c, _ in retried.attempts] == [(0, True)]
+        # the retry path: the unperturbed solve reads uncertified
+        solve_sdp, calls = r1.solve_sdp, []
+
+        def first_uncertified(*args, **kwargs):
+            report = solve_sdp(*args, **kwargs)
+            calls.append(report)
+            return dataclasses.replace(report, certified=False) if len(calls) == 1 else report
+
+        monkeypatch.setattr(r1, "solve_sdp", first_uncertified)
+        retried = ap.us_eigen(ap.useig_benchmark("b"), retries=5, eps=1e-4, seed=0)
+        assert [(s, c) for s, c, _ in retried.attempts] == [(None, False), (0, True)]
         assert retried.value == pytest.approx(3.1623, abs=1e-3)
         # lambda^2 is the certified eigenpair's value, and, on the lift of
         # the certified x, the objective <C, X>
@@ -267,5 +287,3 @@ class TestPerturbAndRetry:
         monkeypatch.setattr(r1, "solve_sdp", no_solve)
         with pytest.raises(RangeError):
             ap.us_eigen(ap.useig_benchmark("a"), retries=3, eps=eps)
-        with pytest.raises(RangeError):
-            ap.perturb_and_retry(ap.useig_benchmark("b"), eps, attempts=2)

@@ -9,6 +9,7 @@ import pytest
 
 import cpstensor.applications as ap
 import cpstensor.cli as cli
+import cpstensor.decompose as dc
 import cpstensor.errors as errors
 import cpstensor.tensor as tz
 from cpstensor.cli import main
@@ -58,9 +59,10 @@ class TestValidate:
         path.write_text("{broken")
         assert main(["validate", str(path)]) == 3
 
-    @pytest.mark.parametrize("value", ["1e400", "2.5"])
+    @pytest.mark.parametrize("value", ["1e400", "2.5", "true", '"1"'])
     def test_integer_field_not_whole_exits_3(self, tmp_path, capsys, value):
-        # 1e400 parses as infinity, which int() used to overflow on (exit 1)
+        # 1e400 parses as infinity, which int() overflows on (exit 1), and
+        # int() reads true and "1" as n = 1 (exit 0)
         path = tmp_path / "bad.json"
         path.write_text('{"n": %s, "d": 4, "entries": []}' % value)
         assert main(["validate", str(path)]) == 3
@@ -96,6 +98,19 @@ class TestDecompose:
         path = tmp_path / "ps.json"
         tz.save_tensor(t, path)
         assert main(["decompose", str(path)]) == 3
+
+    def test_round_trip_miss_exits_4(self, monkeypatch, rank_one_file, capsys):
+        # one wrong term: the reconstruction misses TOL_DECOMP, and the JSON
+        # is still written
+        wrong = tz.CpsTerm(1.0, np.array([1.0, 0.0], dtype=complex))
+        monkeypatch.setattr(dc, "cps_decompose", lambda t: [wrong])
+        assert main(["decompose", rank_one_file]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["term_count"] == 1
+        assert payload["terms"] == [{"lambda": 1.0, "a": [[1.0, 0.0], [0.0, 0.0]]}]
+        t = tz.load_tensor(rank_one_file)
+        expected = np.linalg.norm(tz.assemble([wrong], 2, 2).entries - t.entries)
+        assert payload["residual"] == expected > dc.TOL_DECOMP * t.norm()
 
 
 class TestMatricize:
@@ -360,6 +375,20 @@ class TestExperiment:
         assert lams[0] == pytest.approx(2.3547, abs=1e-3)
         assert lams[1] == pytest.approx(3.1623, abs=1e-3)
 
+    def test_failed_instance_is_a_row_and_a_line(self, monkeypatch, tmp_path, capsys):
+        def uncertified(*args, **kwargs):
+            raise errors.Uncertified("injected")
+
+        monkeypatch.setattr(ap, "us_eigen", uncertified)
+        code, rows = self._run(tmp_path, "useig", ("--jobs", "1"))
+        assert code == 0
+        assert len(rows) == 2
+        assert all(r["certified"] == "0" and r["iterations"] == "0" for r in rows)
+        failed = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+        assert failed == [
+            f"instance {r['instance_seed']} failed: Uncertified: injected" for r in rows
+        ]
+
     def test_deterministic_modulo_wall_clock(self, tmp_path):
         args = ("--sizes", "4", "--instances", "2", "--model", "sdp", "--seed", "3")
         _, rows1 = self._run(tmp_path, "random", args)
@@ -405,10 +434,16 @@ class TestExperiment:
             '{"n": 4, "m": 4, "rho": 10.0, "patches": [], "s0_seed": 1e400}',
             '{"n": 4, "m": 4, "rho": 10.0, "patches": [{"r": 1e400, "delta": [1], "sigma2": 1}]}',
             '{"n": 4.5, "m": 4, "rho": 10.0, "patches": []}',
+            '{"n": 5, "m": "5", "rho": "30", "patches": [], "s0_seed": false}',
+            '{"n": true, "m": 4, "rho": 10.0, "patches": []}',
+            '{"n": 4, "m": 4, "rho": "30", "patches": []}',
+            '{"n": 4, "m": 4, "rho": 10.0, "patches": [], "s0_seed": false}',
+            '{"n": 4, "m": 4, "rho": 10.0, "patches": [{"r": 0, "delta": [1], "sigma2": "1"}]}',
         ],
         ids=["range_bin", "no_patches", "bad_json", "negative_seed",
              "nan_rho", "infinite_rho", "nan_sigma2", "infinite_sigma2",
-             "empty_code", "overflow_seed", "overflow_range_bin", "fractional_n"],
+             "empty_code", "overflow_seed", "overflow_range_bin", "fractional_n",
+             "string_fields", "boolean_n", "string_rho", "boolean_seed", "string_sigma2"],
     )
     def test_bad_scenario_file_exits_3(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"

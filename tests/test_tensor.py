@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_offset_matches_base_n_map_exhaustively(self):
         n, d = 2, 3
-        t = tz.from_entries(n, d, np.arange(n**d, dtype=complex))
+        t = tz.DenseTensor(n, d, np.arange(n**d, dtype=complex))
         for idx in itertools.product(range(1, n + 1), repeat=d):
             assert tz.entry(t, idx) == tz.linear_offset(n, idx) - 1
 
@@ -44,7 +44,7 @@ class TestConstruction:
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            tz.from_entries(2, 2, [1.0, 2.0])
+            tz.DenseTensor(2, 2, [1.0, 2.0])
 
     def test_entries_immutable(self):
         t = tz.zero(2, 2)
@@ -75,7 +75,7 @@ class TestPredicates:
     def test_cps_iff_ps_and_zero_skew(self):
         for seed in range(5):
             t = random_ps_tensor(2, seed)
-            skew_norm = tz.frob_norm(tz.skew_part(t))
+            skew_norm = tz.skew_part(t).norm()
             assert tz.is_cps(t) == (skew_norm <= 1e-8 * max(t.norm(), 1e-12))
 
 
@@ -104,7 +104,7 @@ class TestConjTranspose:
 class TestCartesianSplit:
     def test_cps_has_zero_skew(self):
         t = random_cps_tensor(3, 6)
-        assert tz.frob_norm(tz.skew_part(t)) <= 1e-10
+        assert tz.skew_part(t).norm() <= 1e-10
 
     def test_reconstruction_and_parts_cps(self):
         t = random_ps_tensor(2, 7)
@@ -116,7 +116,7 @@ class TestCartesianSplit:
         c = random_cps_tensor(2, 8)
         t = tz.DenseTensor(2, 4, 1j * c.entries)
         u, v = tz.cartesian_split(t)
-        assert tz.frob_norm(u) <= 1e-10
+        assert u.norm() <= 1e-10
         assert np.allclose(v.entries, c.entries)
 
     def test_split_uniqueness(self):
@@ -136,7 +136,7 @@ class TestFrobenius:
         assert val.real >= 0
 
     def test_gap_tensor_norm(self, gap_tensor):
-        assert tz.frob_norm(gap_tensor) ** 2 == pytest.approx(2.0, abs=1e-12)
+        assert gap_tensor.norm() ** 2 == pytest.approx(2.0, abs=1e-12)
 
     def test_sesquilinearity(self):
         u = random_ps_tensor(2, 12)
@@ -272,7 +272,7 @@ class TestAssemble:
         rng = np.random.default_rng(19)
         a = random_unit(2, rng)
         t = tz.assemble([tz.CpsTerm(1.0, a), tz.CpsTerm(-1.0, a)], 2, 2)
-        assert tz.frob_norm(t) <= 1e-14
+        assert t.norm() <= 1e-14
 
     def test_real_coeffs_give_cps_complex_give_ps(self):
         rng = np.random.default_rng(20)
@@ -338,12 +338,21 @@ class TestSerialization:
             tz.tensor_from_json('{"n": 2, "d": 2, "entries": [[0, 0]]}')
 
     @pytest.mark.parametrize(
-        "n, d", [("1e400", "2"), ("2.5", "2"), ("NaN", "2"), ("2", "-1e400"), ("2", "4.5")]
+        "n, d",
+        [("1e400", "2"), ("2.5", "2"), ("NaN", "2"), ("2", "-1e400"), ("2", "4.5"),
+         ("true", "2"), ("2", '"2"'), ("2", "false"), ('"2"', "2")],
     )
     def test_integer_field_not_whole_is_parse_error(self, n, d):
-        # an infinite value used to overflow int(), a fractional one to truncate
+        # int() would overflow on an infinite value, truncate a fractional
+        # one and read a boolean or a numeric string as a number
         text = f'{{"n": {n}, "d": {d}, "entries": {[[0, 0]] * 4}}}'
         with pytest.raises(ParseError, match="must be an integer, got"):
+            tz.tensor_from_json(text)
+
+    @pytest.mark.parametrize("pair", ["[true, false]", '["1", 0]', "[0, null]"])
+    def test_entry_not_a_number_is_parse_error(self, pair):
+        text = f'{{"n": 1, "d": 2, "entries": [{pair}]}}'
+        with pytest.raises(ParseError, match="entry must be a number, got"):
             tz.tensor_from_json(text)
 
     def test_whole_float_integer_field(self):
@@ -357,5 +366,5 @@ class TestSerialization:
 def test_offset_formula_property(n, d, data):
     idx = tuple(data.draw(st.integers(1, n)) for _ in range(d))
     flat = np.arange(n**d, dtype=complex)
-    t = tz.from_entries(n, d, flat)
+    t = tz.DenseTensor(n, d, flat)
     assert tz.entry(t, idx) == tz.linear_offset(n, idx) - 1
