@@ -205,10 +205,14 @@ def us_eigen(
     Z + eps E / ||E||, E = random_symmetric(n, d, s) for s = seed,
     seed + 1, ...; distinct seeds may surface distinct eigenvectors of a
     degenerate maximum.  `attempts` logs each solve as
-    (seed, certified, objective), seed None for Z itself.
+    (seed, certified, objective), seed None for Z itself.  An eps that is
+    not a finite number >= 0, or retries or seed that is not an integer
+    >= 0, raises RangeError before any solve.
     """
     if not 0.0 <= eps < math.inf:
         raise RangeError(f"eps must be a finite number >= 0, got {eps}")
+    r1._require_count(retries, "retries", 0)
+    r1._require_count(seed, "seed", 0)
     log = []
     for s in [None, *range(seed, seed + retries)]:
         zp = z

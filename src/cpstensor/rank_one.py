@@ -10,7 +10,10 @@ convex relaxations are solved by ADMM:
   soft threshold); on any feasible rank-one point the penalty is constant.
 
 At d = 2 the loop runs on the real symmetric matrices Y = U^H X U of
-U = reshaping.real_frame(n); other orders keep X itself.  A solve is
+U = reshaping.real_frame(n); other orders keep X itself.  Either way it
+projects onto M_pi(CPS) with one kernel, Q Q^T for the orbit basis of
+M_pi(CPS) in the loop's coordinates (reshaping.real_cps_projector or
+reshaping.cps_projector).  A solve is
 certified by one certificate, a closed primal-dual bracket: a unit x whose
 conjugate form is within GAP_TOL of a dual upper bound.  The loop checks it
 on a schedule and once more at a tol or max_iter stop, where the candidates
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -70,10 +74,23 @@ ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
 
 @dataclass
 class SolverOptions:
-    """The whole solver configuration: stopping tolerance and iteration cap."""
+    """The whole solver configuration: stopping tolerance, a finite number
+    >= 0, and iteration cap, an integer >= 1; other values raise RangeError."""
 
     tol: float = SOLVER_TOL
     max_iter: int = MAX_ITER
+
+    def __post_init__(self):
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and 0.0 <= self.tol < math.inf):
+            raise RangeError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        _require_count(self.max_iter, "max_iter", 1)
+
+
+def _require_count(value, name: str, least: int) -> None:
+    """Raise RangeError unless value is an integer >= least; a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise RangeError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -118,37 +118,23 @@ def canonical_pi(d: int) -> tuple[int, ...]:
     return tuple(pi)
 
 
-class OrbitProjector(NamedTuple):
-    """Orthogonal projection onto M_pi(CPS) as an orbit average and gather.
+def _frame_projector(n: int, d: int, pi: tuple[int, ...], rows, entries, dtype) -> Callable:
+    """Q Q^T on the real coordinates of Y = U^H X U (two for a complex entry),
+    Q the orthonormal orbit basis of M_pi(CPS) mapped through a frame U whose
+    column k holds entries[j, k] in row rows[j, k], j < len(rows) <= 2.
 
-    Matrix entries share an orbit when the tensor entries they hold differ by
-    permutations within each mode half.  Averaging over each orbit is the PS
-    symmetrization; pairing it with its half-swap partner is the Hermitian
-    part.
-    """
-
-    orbit: np.ndarray  # orbit label of each flat matrix position
-    swap: np.ndarray  # label of each orbit's half-swap partner
-    size: np.ndarray  # positions per orbit
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        orbit, swap, size = self
-        flat = x.reshape(-1)
-        re = np.bincount(orbit, weights=flat.real) / size
-        im = np.bincount(orbit, weights=flat.imag) / size
-        return (0.5 * (re + re[swap]) + 0.5j * (im - im[swap]))[orbit].reshape(x.shape)
-
-
-@functools.lru_cache(maxsize=32)
-def cps_projector(n: int, d: int, pi: tuple[int, ...]) -> OrbitProjector:
-    """Orthogonal projection onto M_pi(CPS), built once per (n, d, pi).
-
-    The projection is right for every pi; the output is an exactly Hermitian
-    matrix when pi satisfies the conjugate condition.  The identity gives
-    tensor coordinates, where the input may also be the order-2d tensor
-    itself, since it lays out its entries in the same order.
-    """
-    big = n**d
+    Matrix positions share an orbit when the tensor entries they hold differ
+    by permutations within each mode half.  An orbit o with half-swap partner
+    s gives (1_o + 1_s) and i (1_o - 1_s), normalized, in columns 2 lead and
+    2 lead + 1 of Q, lead = min(o, s); 1_o alone if s = o.  Entry (k, l) of Y
+    reads X at (rows[j, k], rows[j ^ g, l]) with weight conj(U[., k]) U[., l];
+    group g lies in one orbit pair (at U = I one position, for the d = 2 real
+    frame a position and its J-image), and its weights are summed before the
+    orbit scale.  A real coordinate meets one column per group, an entry's
+    (Re, Im) at U = I the pair (2 lead, 2 lead + 1), read as one item: a call
+    is one weighted bincount and one gather."""
+    big, dtype, real = n**d, np.dtype(dtype), np.dtype(np.float64)
+    parts = 2 if dtype.kind == "c" else 1
     # row m: the digit that mode m+1 of T takes at each flat matrix position
     digits = np.indices((n,) * (2 * d), dtype=np.min_scalar_type(n))
     modes = digits.reshape(2 * d, -1)[np.argsort(pi)]
@@ -156,80 +142,74 @@ def cps_projector(n: int, d: int, pi: tuple[int, ...]) -> OrbitProjector:
     key = (place @ np.sort(modes[:d], axis=0)) * big + place @ np.sort(modes[d:], axis=0)
     labels, orbit = np.unique(key, return_inverse=True)
     swap = np.searchsorted(labels, (labels % big) * big + labels // big)
-    return OrbitProjector(orbit, swap, np.bincount(orbit))
+    columns, values = [], []
+    for g in range(len(rows)):
+        at = [orbit[(rows[j][:, None] * big + rows[j ^ g]).reshape(-1)] for j in range(len(rows))]
+        w = [np.outer(np.conj(entries[j]), entries[j ^ g]).reshape(-1) for j in range(len(rows))]
+        lead, paired = np.minimum(at[0], swap[at[0]]), at[0] != swap[at[0]]
+        scale = 1.0 / np.sqrt(np.where(paired, 2.0, 1.0) * np.bincount(orbit)[at[0]])
+        sym, anti = sum(w), sum(np.where(a == lead, v, -v) for a, v in zip(at, w))
+        # Re<., .> of (Re, Im) with the pair's two basis matrices, one of them 0
+        sym, anti = np.array([sym.real, sym.imag]), np.where(paired, [-anti.imag, anti.real], 0.0)
+        columns.append((2 * lead + (sym == 0))[:parts].T.ravel())
+        values.append((scale * np.where(sym == 0, anti, sym))[:parts].T.ravel())
+    columns, values = np.array(columns), np.array(values)
+    flat_columns, gather, bins = columns.ravel(), columns[:, ::parts] // parts, 2 * len(labels)
+
+    def project(y: np.ndarray) -> np.ndarray:
+        flat = np.asarray(y, dtype).ravel().view(real)
+        q_y = np.bincount(flat_columns, weights=(values * flat).ravel(), minlength=bins)
+        out = q_y.view(dtype).take(gather)
+        out_real = out.view(real)
+        out_real *= values
+        return (out[0] if len(out) == 1 else out[0] + out[1]).reshape(y.shape)
+
+    return project
+
+
+@functools.lru_cache(maxsize=32)
+def cps_projector(n: int, d: int, pi: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """Orthogonal projection onto M_pi(CPS) in X's own coordinates (U = I),
+    built once per (n, d, pi): orbit means paired with their half-swap
+    partners, the PS symmetrization and the Hermitian part.  It is right for
+    every pi, and exactly Hermitian when pi meets the conjugate condition.
+    The identity pi gives tensor coordinates: the input may also be the
+    order-2d tensor, which lays out its entries in the same order."""
+    return _frame_projector(n, d, pi, np.arange(n**d)[None], np.ones((1, n**d)), complex)
+
+
+def _real_frame_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, entries) of real_frame(n), two per column: e_ab before e_ba,
+    and e_aa as e_aa / 2 + e_aa / 2."""
+    i, j = np.triu_indices(n, 1)
+    diag, ab, ba = np.arange(n) * (n + 1), i * n + j, j * n + i
+    rows = np.array([np.concatenate([diag, ab, ab]), np.concatenate([diag, ba, ba])])
+    s = math.sqrt(0.5)
+    return rows, np.repeat([[0.5, s, 1j * s], [0.5, s, -1j * s]], [n, len(i), len(i)], axis=1)
 
 
 @functools.lru_cache(maxsize=32)
 def real_frame(n: int) -> np.ndarray:
     """The unitary U with columns e_i (x) e_i, (e_ij + e_ji)/sqrt2 and
-    i (e_ij - e_ji)/sqrt2 for i < j, where e_ij = e_i (x) e_j.
-
-    Each column is fixed by J, the swap of the two factors of C^n (x) C^n
-    followed by conjugation.  At d = 2 every matrix X in M_pi(CPS) commutes
-    with J, for every pi that meets both conditions, because
-    X[(b,a),(d,c)] = conj(X[(a,b),(c,d)]) holds for a Hermitian tensor; so
-    U^H X U is real symmetric.
-    """
-    i, j = np.triu_indices(n, 1)
-    pairs = len(i)
-    sym, anti = n + np.arange(pairs), n + pairs + np.arange(pairs)
+    i (e_ij - e_ji)/sqrt2 for i < j (e_ij = e_i (x) e_j), assembled from the
+    (rows, entries) that real_cps_projector reads.  Each column is fixed by J,
+    the swap of the two factors of C^n (x) C^n followed by conjugation.  At
+    d = 2 every X in M_pi(CPS) commutes with J, for every pi that meets both
+    conditions, since X[(b,a),(d,c)] = conj(X[(a,b),(c,d)]) for a Hermitian
+    tensor; so U^H X U is real symmetric."""
     u = np.zeros((n * n, n * n), dtype=complex)
-    u[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    u[i * n + j, sym] = u[j * n + i, sym] = math.sqrt(0.5)
-    u[i * n + j, anti] = 1j * math.sqrt(0.5)
-    u[j * n + i, anti] = -1j * math.sqrt(0.5)
+    rows, entries = _real_frame_entries(n)
+    np.add.at(u, (rows, np.arange(n * n)), entries)
     u.flags.writeable = False
     return u
 
 
 @functools.lru_cache(maxsize=32)
 def real_cps_projector(n: int, pi: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The d = 2 projection onto M_pi(CPS) in the coordinates Y = U^H X U of
-    U = real_frame(n): P_w(Y) = U^H P(U Y U^H) U with P = cps_projector.
-
-    For pi meeting both conditions, U Y U^H is fixed by J for every real Y,
-    and so is every matrix of M_pi(CPS); so P_w is the orthogonal projection
-    onto the real subspace U^H M_pi(CPS) U, and P_w = Q Q^T for the image Q
-    under U^H (.) U of the orthonormal orbit basis of M_pi(CPS): for an orbit
-    o with half-swap partner s, (1_o + 1_s) and i (1_o - 1_s), normalized, or
-    1_o alone when s = o.  Entry (k, l) of Y lies in at most two columns of
-    Q, one for each J-orbit of the positions (r, c) of X with
-    U[r, k] U[c, l] != 0.  Those columns and values are found once per
-    (n, pi); then P_w costs one weighted bincount and one gather.
-    """
-    big = n * n
-    orbit, swap, size = cps_projector(n, 2, pi)
-    u = real_frame(n)
-    # the rows of each column of U, e_ab before e_ba, and its two entries there;
-    # a diagonal column is e_aa / 2 + e_aa / 2
-    nonzero = u != 0
-    at = np.array([nonzero.argmax(axis=0), big - 1 - nonzero[::-1].argmax(axis=0)])
-    entry = np.take_along_axis(u, at, axis=0)
-    entry[:, at[0] == at[1]] = 0.5
-    columns, values = [], []
-    for b in (0, 1):
-        # position (at[0, k], at[b, l]) of X, with weight conj(U[r, k]) U[c, l], and
-        # its image under J, (at[1, k], at[1 - b, l]), which lies in the partner orbit
-        first = orbit[(at[0][:, None] * big + at[b]).reshape(-1)]
-        w = np.outer(np.conj(entry[0]), entry[b]).reshape(-1)
-        w_image = np.outer(np.conj(entry[1]), entry[1 - b]).reshape(-1)
-        lead = np.minimum(first, swap[first])
-        paired = first != swap[first]
-        scale = 1.0 / np.sqrt(np.where(paired, 2.0, 1.0) * size[first])
-        # a real weight meets only (1_o + 1_s), an imaginary one only i (1_o - 1_s)
-        anti = w.imag != 0
-        sign = np.where(first == lead, -1.0, 1.0)
-        anti_value = np.where(paired, sign * (w - w_image).imag, 0.0)
-        columns.append(np.where(anti, len(size) + lead, lead))
-        values.append(scale * np.where(anti, anti_value, (w + w_image).real))
-    columns, values = np.array(columns), np.array(values)
-
-    def project(y: np.ndarray) -> np.ndarray:
-        flat = y.reshape(-1)
-        q_y = np.bincount(columns.ravel(), weights=(values * flat).ravel(), minlength=2 * len(size))
-        return (values * q_y[columns]).sum(axis=0).reshape(y.shape)
-
-    return project
+    """The d = 2 projection onto M_pi(CPS) in the real coordinates Y = U^H X U
+    of U = real_frame(n), U^H P(U Y U^H) U for P = cps_projector and pi
+    meeting both conditions; its output is exactly symmetric."""
+    return _frame_projector(n, 2, pi, *_real_frame_entries(n), np.float64)
 
 
 def cps_part(w: np.ndarray, d: int) -> np.ndarray:

@@ -287,3 +287,14 @@ class TestPerturbAndRetry:
         monkeypatch.setattr(r1, "solve_sdp", no_solve)
         with pytest.raises(RangeError):
             ap.us_eigen(ap.useig_benchmark("a"), retries=3, eps=eps)
+
+    @pytest.mark.parametrize(
+        "options", [{"retries": -3}, {"retries": 1.5}, {"retries": True}, {"seed": -1}, {"seed": 0.5}]
+    )
+    def test_bad_retries_or_seed_raise_before_any_solve(self, monkeypatch, options):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking retries and seed")
+
+        monkeypatch.setattr(r1, "solve_sdp", no_solve)
+        with pytest.raises(RangeError):
+            ap.us_eigen(ap.useig_benchmark("a"), **{"retries": 1, **options})

@@ -62,13 +62,22 @@ class TestProjectSubspace:
         p = self.project(x)
         assert np.allclose(self.project(p), p, atol=1e-12)
 
-    def test_orthogonality(self):
-        # real-linear projector: orthogonality holds in the real inner product
+    @pytest.mark.parametrize("n,d,coords", [(3, 1, "X"), (2, 2, "X"), (2, 3, "X"), (2, 2, "Y")])
+    def test_orthogonality(self, n, d, coords):
+        # real-linear projector: self-adjoint in the real inner product
+        # Re<a, b>, in X's coordinates and in the real Y = U^H X U at d = 2
+        pi = rs.canonical_pi(d)
+        project = rs.real_cps_projector(n, pi) if coords == "Y" else rs.cps_projector(n, d, pi)
         rng = np.random.default_rng(5)
-        w = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        x = 0.5 * (w + w.conj().T)
-        p = self.project(x)
-        assert abs(np.vdot(p, x - p).real) <= 1e-12
+        size = n**d
+        a, b = (
+            rng.standard_normal((size, size))
+            + (0 if coords == "Y" else 1j * rng.standard_normal((size, size)))
+            for _ in range(2)
+        )
+        assert abs(np.vdot(project(a), b).real - np.vdot(a, project(b)).real) <= 1e-13
+        p = project(a)
+        assert abs(np.vdot(p, a - p).real) <= 1e-13
 
 
 class TestFlatLoop:
@@ -134,6 +143,20 @@ class TestCoordinates:
             assert solve(counted, opts=FAST).certified
         assert seen and not any(seen)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("solve", [r1.solve_sdp, r1.solve_nuclear])
+    def test_order_two_lift_is_the_matrix(self, n, solve):
+        # at order 2 (d = 1) the lift of T is the Hermitian matrix H itself,
+        # and the largest C-eigenvalue is H's largest eigenvalue
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = 0.5 * (w + w.conj().T)
+            report = solve(r1.build_matrix_model(tz.DenseTensor(n, 2, h)), opts=FAST)
+            assert report.certified
+            top = np.linalg.eigvalsh(h)[-1]
+            assert abs(report.eigenpair.value.real - top) <= 1e-12 * abs(top)
+
     @pytest.mark.parametrize("nuclear", [False, True])
     def test_same_loop_in_both_coordinates(self, nuclear):
         # the one loop on X itself (U = I) and on real Y = U^H X U
@@ -161,6 +184,18 @@ class TestStopReason:
         assert report.beta_final > 0
         assert report.to_dict()["stop_reason"] == "gap"
         assert report.to_dict()["beta_final"] == report.beta_final
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 2.5}, {"max_iter": True},
+            {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}, {"tol": True},
+        ],
+    )
+    def test_bad_options_raise(self, options):
+        # the ranges the CLI's --tol and --max-iter check, at the library edge
+        with pytest.raises(RangeError):
+            r1.SolverOptions(**options)
 
     def test_tol(self):
         # the order-6 US lift of benchmark a closes its bracket at the first
