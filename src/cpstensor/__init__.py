@@ -58,7 +58,6 @@ from .decompose import (
 from .rank_one import (
     MatrixModel,
     SolveReport,
-    SolverOptions,
     best_rank_one_error,
     brute_force_max_eig,
     build_matrix_model,

@@ -11,6 +11,7 @@ largest squared US-eigenvalue is the lifted tensor's largest C-eigenvalue.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from .errors import NotSymmetric, RangeError, SizeMismatch, Uncertified
 from . import rank_one as r1
 from . import reshaping as rs
 from . import tensor as tz
-from .rank_one import SolveReport, SolverOptions
+from .rank_one import MAX_ITER, SolveReport
 from .tensor import DenseTensor, _json_int, _json_real
 
 
@@ -189,10 +190,11 @@ class UsEigenResult:
 
 def us_eigen(
     z: DenseTensor,
-    opts: SolverOptions | None = None,
     retries: int = 0,
     eps: float = 1e-4,
     seed: int = 0,
+    *,
+    max_iter: int = MAX_ITER,
 ) -> UsEigenResult:
     """Largest US-eigenvalue of a symmetric tensor via the CPS lift and SDP.
 
@@ -205,12 +207,15 @@ def us_eigen(
     Z + eps E / ||E||, E = random_symmetric(n, d, s) for s = seed,
     seed + 1, ...; distinct seeds may surface distinct eigenvectors of a
     degenerate maximum.  `attempts` logs each solve as
-    (seed, certified, objective), seed None for Z itself.  An eps that is
-    not a finite number >= 0, or retries or seed that is not an integer
-    >= 0, raises RangeError before any solve.
+    (seed, certified, objective), seed None for Z itself.  Each solve is
+    r1.solve_sdp's, with its max_iter.  An eps that is not a finite number
+    >= 0 (a boolean is not), retries or seed that is not an integer >= 0,
+    or max_iter that is not an integer >= 1, raises RangeError before any
+    map evaluation.
     """
-    if not 0.0 <= eps < math.inf:
-        raise RangeError(f"eps must be a finite number >= 0, got {eps}")
+    real = isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+    if not (real and 0.0 <= eps < math.inf):
+        raise RangeError(f"eps must be a finite number >= 0, got {eps!r}")
     r1._require_count(retries, "retries", 0)
     r1._require_count(seed, "seed", 0)
     log = []
@@ -219,7 +224,7 @@ def us_eigen(
         if s is not None and eps != 0.0:
             e = random_symmetric(z.n, z.order, s)
             zp = DenseTensor(z.n, z.order, z.entries + e.entries * (eps / e.norm()))
-        report = r1.solve_sdp(r1.build_matrix_model(us_lift(zp)), opts)
+        report = r1.solve_sdp(r1.build_matrix_model(us_lift(zp)), max_iter=max_iter)
         log.append((s, report.certified, report.objective))
         if report.certified:
             lam, vec = _us_pair_from_report(zp, report)

@@ -106,10 +106,10 @@ def _load_scenario(path: str) -> ap.RadarScenario:
         raise ParseError(f"bad scenario file {path}: {type(exc).__name__}: {exc}") from None
 
 
-def _solve(model: r1.MatrixModel, method: str, rho, opts) -> r1.SolveReport:
+def _solve(model: r1.MatrixModel, method: str, rho, max_iter: int) -> r1.SolveReport:
     if method == "sdp":
-        return r1.solve_sdp(model, opts)
-    return r1.solve_nuclear(model, rho=rho, opts=opts)
+        return r1.solve_sdp(model, max_iter=max_iter)
+    return r1.solve_nuclear(model, rho=rho, max_iter=max_iter)
 
 
 def cmd_validate(args) -> int:
@@ -167,8 +167,7 @@ def cmd_matricize(args) -> int:
 
 def cmd_rank1(args) -> int:
     model = r1.build_matrix_model(args.tensor, args.pi)
-    opts = r1.SolverOptions(args.tol, args.max_iter)
-    report = _solve(model, args.model, args.rho, opts)
+    report = _solve(model, args.model, args.rho, args.max_iter)
     _emit_json(report.to_dict(), args.output)
     if report.stop_reason == "diverged":
         print("error: the ADMM iterates diverged; the model may be unbounded", file=sys.stderr)
@@ -177,10 +176,10 @@ def cmd_rank1(args) -> int:
 
 
 def cmd_useig(args) -> int:
-    opts = r1.SolverOptions(args.tol, args.max_iter)
     try:
         result = ap.us_eigen(
-            args.tensor, opts, retries=args.retries, eps=args.eps, seed=args.seed
+            args.tensor, retries=args.retries, eps=args.eps, seed=args.seed,
+            max_iter=args.max_iter,
         )
     except Uncertified as exc:
         _emit_json({"error": str(exc)}, args.output)
@@ -199,13 +198,13 @@ def cmd_useig(args) -> int:
 
 def _solve_instance(task) -> dict:
     """One experiment instance; module-level so process pools can pickle it."""
-    kind, size, method, seed, rho, opts, scenario = task
+    kind, size, method, seed, rho, max_iter, scenario = task
     t0 = time.perf_counter()
     lam = math.nan
     try:
         if kind == "useig":
             z = ap.useig_benchmark("a" if size == 1 else "b")
-            result = ap.us_eigen(z, opts, retries=5, eps=1e-4, seed=seed)
+            result = ap.us_eigen(z, retries=5, eps=1e-4, seed=seed, max_iter=max_iter)
             report, lam = result.report, result.value
         else:
             if kind == "random":
@@ -217,7 +216,7 @@ def _solve_instance(task) -> dict:
                     scenario = dataclasses.replace(scenario, s0_seed=seed)
                 radar = ap.radar_tensor(scenario)
                 t, sign = tz.DenseTensor(radar.n, radar.order, -radar.entries), -1.0
-            report = _solve(r1.build_matrix_model(t), method, rho, opts)
+            report = _solve(r1.build_matrix_model(t), method, rho, max_iter)
             if report.eigenpair is not None:
                 lam = sign * report.eigenpair.value.real
         certified = int(report.certified)
@@ -261,14 +260,13 @@ def _one_blas_thread_for_children():
 def cmd_experiment(args) -> int:
     sizes, scenario, instances = args.sizes, args.scenario, args.instances
     methods = ["sdp", "nuclear"] if args.model == "both" else [args.model]
-    opts = r1.SolverOptions(args.tol, args.max_iter)
     if args.name == "useig":  # the two bundled benchmarks, one instance each
         sizes, methods, instances = [1, 2], ["sdp"], 1
     elif args.name == "radar" and scenario is not None:
         sizes = [scenario.n]  # the file fixes the code length
     sizes = sizes or ([4, 6, 8] if args.name == "random" else [5])
     tasks = [
-        (args.name, size, method, args.seed + k, args.rho, opts, scenario)
+        (args.name, size, method, args.seed + k, args.rho, args.max_iter, scenario)
         for size in sizes
         for method in methods
         for k in range(instances)
@@ -325,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="write the result to this path instead of stdout")
     parser.add_argument("--seed", type=_NONNEG_INT, default=0, help="master seed")
-    parser.add_argument(
-        "--tol", type=_NONNEG_FLOAT, default=r1.SOLVER_TOL, help="solver tolerance"
-    )
     parser.add_argument("--jobs", type=_POSITIVE_INT, default=1, help="parallel instances")
     sub = parser.add_subparsers(dest="command", required=True)
     hide = argparse.SUPPRESS  # subcommand duplicates must not clobber globals
@@ -352,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["sdp", "nuclear"], default="sdp")
     p.add_argument("--rho", type=_POSITIVE_FLOAT, default=None, help="nuclear penalty weight")
     p.add_argument("--pi", type=rs.parse_permutation, help="comma-separated permutation")
-    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
     p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
     p.add_argument("--seed", type=_NONNEG_INT, default=hide)
     p.set_defaults(func=cmd_rank1)
@@ -362,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=_NONNEG_INT, default=0)
     p.add_argument("--eps", type=_NONNEG_FLOAT, default=1e-4)
     p.add_argument("--seed", type=_NONNEG_INT, default=hide)
-    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
     p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
     p.set_defaults(func=cmd_useig)
 
@@ -375,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_POSITIVE_FLOAT, default=None)
     p.add_argument("--scenario", type=_load_scenario, help="radar scenario JSON file")
     p.add_argument("--seed", type=_NONNEG_INT, default=hide)
-    p.add_argument("--tol", type=_NONNEG_FLOAT, default=hide)
     p.add_argument("--jobs", type=_POSITIVE_INT, default=hide)
     p.add_argument("--max-iter", dest="max_iter", type=_POSITIVE_INT, default=r1.MAX_ITER)
     p.set_defaults(func=cmd_experiment)

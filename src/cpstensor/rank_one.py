@@ -16,7 +16,8 @@ M_pi(CPS) in the loop's coordinates (reshaping.real_cps_projector or
 reshaping.cps_projector).  A solve is
 certified by one certificate, a closed primal-dual bracket: a unit x whose
 conjugate form is within GAP_TOL of a dual upper bound.  The loop checks it
-on a schedule and once more at a tol or max_iter stop, where the candidates
+on a schedule and once more at a tol stop, where the residuals relative to
+||C||_2 make no more progress, or at a max_iter stop, where the candidates
 are read from X's top eigenspace, so that a degenerate maximum, whose X has
 rank above one, certifies too; certified solves yield an eigenpair of the
 original tensor.
@@ -48,7 +49,7 @@ from .tensor import DenseTensor, EigenPair
 
 log = logging.getLogger(__name__)
 
-SOLVER_TOL = 1e-7
+SOLVER_TOL = 1e-11  # primal and relative dual residual of the tol stop: no more progress below
 MAX_ITER = 10000
 OVER_RELAX = 1.7  # standard over-relaxation factor in (1, 2)
 ADAPT_EVERY = 10  # loop steps between penalty rebalancing checks
@@ -70,21 +71,6 @@ CG_TOL = 1e-13  # residual, relative to the right-hand side, that ends them
 UNIT_TOL = 1e-8  # distance of ||x|| from 1 accepted for a unit vector
 ORACLE_GRID = 2000  # brute_force_max_eig's lattice points per angle
 ORACLE_POLISH_STEPS = 25  # its projected-gradient steps after the sweep
-
-
-@dataclass
-class SolverOptions:
-    """The whole solver configuration: stopping tolerance, a finite number
-    >= 0, and iteration cap, an integer >= 1; other values raise RangeError."""
-
-    tol: float = SOLVER_TOL
-    max_iter: int = MAX_ITER
-
-    def __post_init__(self):
-        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
-        if not (real and 0.0 <= self.tol < math.inf):
-            raise RangeError(f"tol must be a finite number >= 0, got {self.tol!r}")
-        _require_count(self.max_iter, "max_iter", 1)
 
 
 def _require_count(value, name: str, least: int) -> None:
@@ -456,7 +442,7 @@ class _BracketCheck:
 
 
 def _admm(
-    model: MatrixModel, prox, opts: SolverOptions, rho: float | None = None
+    model: MatrixModel, prox, rho: float | None = None, max_iter: int = MAX_ITER
 ) -> SolveReport:
     """Two-block ADMM with over-relaxation: X affine-feasible, Y = prox
     iterate, X = Y at the optimum, accelerated by safeguarded Anderson
@@ -469,17 +455,22 @@ def _admm(
     else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
     and clears the history.  `iterations` counts map evaluations, rejected
-    extrapolations included, and max_iter caps them.
+    extrapolations included, and max_iter, an integer >= 1 (else
+    RangeError before any evaluation), caps them.
 
     Every BRACKET_EVERY or ADAPT_EVERY passes (_BracketCheck.due), before
     any penalty check (every ADAPT_EVERY passes), the loop checks the
     primal-dual bracket of the current X and u (_BracketCheck), which
     leaves the iterates as they are, and stops with "gap" once it closes.
-    A loop stopped on tol or max_iter checks its last iterate once more
-    (_BracketCheck.final).  A closed bracket certifies the solve: the
-    report's X is then the rank-one lift of the bracket's x, which is
-    exactly feasible and has <C, X> = L, and it carries the eigenpair, its
-    residual and the gap (U - L) / |L|.  Otherwise X is the loop's last
+    It stops with "tol" where it can make no more progress: the primal
+    residual ||X - Y|| (X has trace one) and the dual residual
+    beta ||Y_new - Y||, divided by max(||C||_2, 1e-12) as it grows with T,
+    are both within SOLVER_TOL.  A loop stopped on tol or max_iter checks
+    its last iterate once more (_BracketCheck.final).  A closed bracket
+    certifies the solve: the report's X is then the rank-one lift of the
+    bracket's x, which is exactly feasible and has <C, X> = L, and it
+    carries the eigenpair, its residual and the gap (U - L) / |L|.
+    Otherwise X is the loop's last
     iterate.  With a nuclear weight rho the objective is
     <C, X> - rho ||X||_*, which is <C, X> - rho on a lift.  The loop runs
     on plain arrays in the model's coordinates, whose structure was checked
@@ -495,7 +486,8 @@ def _admm(
         shift = (1.0 - np.trace(w).real) / p_eye_trace
         return w + shift * p_eye
 
-    beta = max(model.c_norm, 1e-12)
+    _require_count(max_iter, "max_iter", 1)
+    scale = beta = max(model.c_norm, 1e-12)
     evaluations = 0
 
     def step(z: np.ndarray) -> _Step:
@@ -517,7 +509,7 @@ def _admm(
     bracket = None
     passes = 0
     while True:
-        if max(cur.primal, cur.dual) <= opts.tol:
+        if max(cur.primal, cur.dual / scale) <= SOLVER_TOL:
             stop = "tol"
             break
         if not (math.isfinite(cur.primal) and math.isfinite(cur.dual)):
@@ -526,7 +518,7 @@ def _admm(
         if _norm(cur.image[0]) > DIVERGED_NORM:
             stop = "diverged"
             break
-        if evaluations >= opts.max_iter:
+        if evaluations >= max_iter:
             stop = "max_iter"
             break
         passes += 1
@@ -554,7 +546,7 @@ def _admm(
             else:
                 extrapolations.fail()
         if nxt is None:
-            if evaluations >= opts.max_iter:
+            if evaluations >= max_iter:
                 stop = "max_iter"
                 break
             nxt = step(cur.image)
@@ -590,13 +582,14 @@ def _admm(
     )
 
 
-def solve_sdp(model: MatrixModel, opts: SolverOptions | None = None) -> SolveReport:
-    """Maximize <C, X> over trace-one PSD matrices in the CPS subspace."""
-    return _admm(model, lambda w, beta: _spectral_prox(w), opts or SolverOptions())
+def solve_sdp(model: MatrixModel, *, max_iter: int = MAX_ITER) -> SolveReport:
+    """Maximize <C, X> over trace-one PSD matrices in the CPS subspace, in
+    at most max_iter map evaluations (_admm)."""
+    return _admm(model, lambda w, beta: _spectral_prox(w), max_iter=max_iter)
 
 
 def solve_nuclear(
-    model: MatrixModel, rho: float | None = None, opts: SolverOptions | None = None
+    model: MatrixModel, rho: float | None = None, *, max_iter: int = MAX_ITER
 ) -> SolveReport:
     """Maximize <C, X> - rho ||X||_* over trace-one Hermitian CPS matrices.
 
@@ -607,6 +600,7 @@ def solve_nuclear(
     rho = ||C||_2; on feasible rank-one points the penalty is the constant
     rho, so certification and the recovered eigenpair are unaffected.  A
     smaller rho is solved as given, with a warning on the package logger.
+    max_iter caps the map evaluations, as in solve_sdp.
     """
     c_norm = model.c_norm
     if rho is None:
@@ -617,9 +611,7 @@ def solve_nuclear(
         log.warning(
             "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm
         )
-    return _admm(
-        model, lambda w, beta: _spectral_prox(w, rho / beta), opts or SolverOptions(), rho
-    )
+    return _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), rho, max_iter)
 
 
 def _relative_gap(upper: float, value: float) -> float:

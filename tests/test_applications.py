@@ -279,7 +279,7 @@ class TestPerturbAndRetry:
             # C-eigenvalue continuity: lambda^2 moves at most ~||E||
             assert abs(res.value**2 - base.value**2) <= 10.0 * eps
 
-    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf"), True, "1e-4", None])
     def test_bad_eps_raises_before_any_solve(self, monkeypatch, eps):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before checking eps")

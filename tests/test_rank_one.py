@@ -11,9 +11,6 @@ import cpstensor.tensor as tz
 from cpstensor.errors import BadPermutation, NotCps, NotUnit, RangeError, UnsupportedDimension
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
 
-FAST = r1.SolverOptions()
-
-
 class TestBuildMatrixModel:
     def test_subspace_equalities(self):
         # for n = d = 2 and pi = (1,3,4,2) the matricized CPS subspace pins
@@ -81,13 +78,15 @@ class TestProjectSubspace:
 
 
 class TestFlatLoop:
-    def test_no_tensor_constructions_per_iteration(self, monkeypatch, gap_tensor):
+    def test_no_tensor_constructions_per_iteration(self, monkeypatch):
         # only the model build may construct tensors; the ADMM loop and its
         # bracket checks run on plain arrays, so the count does not grow with
-        # the iteration count.  The gap tensor's maximum is degenerate: no
-        # check before the stop closes its bracket, and both solves run to
-        # max_iter
-        model = r1.build_matrix_model(gap_tensor)
+        # the iteration count.  Both solves run to max_iter: their brackets
+        # close after 550 (SDP) and 534 (nuclear) evaluations
+        models = {
+            r1.solve_sdp: r1.build_matrix_model(ap.random_cps(11, 4)),
+            r1.solve_nuclear: r1.build_matrix_model(ap.random_cps(11, 0)),
+        }
         count = [0]
         post_init = tz.DenseTensor.__post_init__
 
@@ -97,10 +96,10 @@ class TestFlatLoop:
 
         monkeypatch.setattr(tz.DenseTensor, "__post_init__", counted)
         seen = {}
-        for solve in (r1.solve_sdp, r1.solve_nuclear):
+        for solve, model in models.items():
             for max_iter in (50, 500):
                 count[0] = 0
-                report = solve(model, opts=r1.SolverOptions(tol=0.0, max_iter=max_iter))
+                report = solve(model, max_iter=max_iter)
                 assert report.iterations == max_iter
                 seen[solve.__name__, max_iter] = count[0]
         assert seen["solve_sdp", 50] == seen["solve_sdp", 500]
@@ -140,7 +139,7 @@ class TestCoordinates:
 
         counted = dataclasses.replace(model, project=project)
         for solve in (r1.solve_sdp, r1.solve_nuclear):
-            assert solve(counted, opts=FAST).certified
+            assert solve(counted).certified
         assert seen and not any(seen)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -152,7 +151,7 @@ class TestCoordinates:
         for _ in range(4):
             w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = 0.5 * (w + w.conj().T)
-            report = solve(r1.build_matrix_model(tz.DenseTensor(n, 2, h)), opts=FAST)
+            report = solve(r1.build_matrix_model(tz.DenseTensor(n, 2, h)))
             assert report.certified
             top = np.linalg.eigvalsh(h)[-1]
             assert abs(report.eigenpair.value.real - top) <= 1e-12 * abs(top)
@@ -168,8 +167,8 @@ class TestCoordinates:
         )
         rho = real.c_norm
         prox = (lambda w, beta: r1._spectral_prox(w, rho / beta)) if nuclear else _sdp_prox
-        a = r1._admm(plain, prox, FAST)
-        b = r1._admm(real, prox, FAST)
+        a = r1._admm(plain, prox)
+        b = r1._admm(real, prox)
         assert a.stop_reason == b.stop_reason == "gap"
         assert a.iterations == b.iterations
         assert a.beta_final == b.beta_final
@@ -179,55 +178,60 @@ class TestCoordinates:
 
 class TestStopReason:
     def test_gap(self):
-        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(3, 25)), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(3, 25)))
         assert report.stop_reason == "gap" and report.converged
         assert report.beta_final > 0
         assert report.to_dict()["stop_reason"] == "gap"
         assert report.to_dict()["beta_final"] == report.beta_final
 
     @pytest.mark.parametrize(
-        "options",
-        [
-            {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 2.5}, {"max_iter": True},
-            {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}, {"tol": True},
-        ],
+        "options", [{"max_iter": 0}, {"max_iter": -5}, {"max_iter": 2.5}, {"max_iter": True}]
     )
-    def test_bad_options_raise(self, options):
-        # the ranges the CLI's --tol and --max-iter check, at the library edge
-        with pytest.raises(RangeError):
-            r1.SolverOptions(**options)
+    def test_bad_options_raise(self, monkeypatch, options):
+        # the range the CLI's --max-iter checks, at the library edge, before
+        # any map evaluation
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before checking max_iter")
 
-    def test_tol(self):
-        # the order-6 US lift of benchmark a closes its bracket at the first
-        # check (5 evaluations); a coarse tol stops the loop on the residuals
-        # after those 5, before that check, and the check at the stop closes it
-        model = r1.build_matrix_model(ap.us_lift(ap.useig_benchmark("a")))
-        coarse = r1.solve_sdp(model, r1.SolverOptions(tol=2.0))
-        assert coarse.stop_reason == "tol" and coarse.converged
-        assert coarse.iterations == 5
-        assert coarse.certified and coarse.certificate == "bracket"
-        assert coarse.to_dict()["stop_reason"] == "tol"
+        monkeypatch.setattr(r1, "_spectral_prox", no_evaluation)
+        model = r1.build_matrix_model(random_cps_tensor(3, 25))
+        z = ap.useig_benchmark("a")
+        for solve in (
+            lambda: r1.solve_sdp(model, **options),
+            lambda: r1.solve_nuclear(model, **options),
+            lambda: ap.us_eigen(z, retries=1, **options),
+        ):
+            with pytest.raises(RangeError, match="max_iter"):
+                solve()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_tol_before_the_first_check_certifies(self, d):
-        # at n = 1 the lift is the 1 x 1 matrix [1]: both solves reach the
-        # default tol before the first bracket check, and the check at the
+        # at n = 1 the lift is the 1 x 1 matrix [1]: both solves reach
+        # SOLVER_TOL before the first bracket check, and the check at the
         # stop certifies them
         t = random_cps_tensor(1, 0, d=d)
         model = r1.build_matrix_model(t)
-        for solve, evaluations in ((r1.solve_sdp, 1), (r1.solve_nuclear, 4)):
-            report = solve(model, opts=FAST)
+        for solve, evaluations in ((r1.solve_sdp, 1), (r1.solve_nuclear, 5)):
+            report = solve(model)
             assert report.stop_reason == "tol" and report.iterations == evaluations
             assert report.certified and report.certificate == "bracket"
             assert report.rank_one_ratio == 0.0
             assert report.eigenpair.value == pytest.approx(t.entries.real.item(), rel=1e-12)
             assert report.optimality_gap <= r1.GAP_TOL
 
+    def test_zero_tensor(self):
+        # ||C||_2 = 0: the dual residual is divided by the floor 1e-12 of the
+        # initial penalty, and the solve stops on its first evaluation
+        report = r1.solve_sdp(r1.build_matrix_model(tz.zero(2, 4)))
+        assert (report.iterations, report.stop_reason) == (1, "tol")
+        assert report.certified and report.certificate == "bracket"
+        assert report.eigenpair.value == 0.0
+
     def test_max_iter(self):
         # the cap falls before the first bracket check, which closes this
         # bracket after 5 evaluations
         model = r1.build_matrix_model(random_cps_tensor(3, 25))
-        report = r1.solve_nuclear(model, opts=r1.SolverOptions(tol=1e-7, max_iter=4))
+        report = r1.solve_nuclear(model, max_iter=4)
         assert report.stop_reason == "max_iter" and not report.converged
         assert report.iterations == 4
 
@@ -235,7 +239,7 @@ class TestStopReason:
     def test_non_finite(self, d):
         # a NaN stops the loop at once instead of running to max_iter
         model = r1.build_matrix_model(random_cps_tensor(2, 26, d=d))
-        report = r1._admm(model, lambda w, beta: np.full_like(w, np.nan), FAST)
+        report = r1._admm(model, lambda w, beta: np.full_like(w, np.nan))
         assert report.stop_reason == "non-finite" and not report.converged
         assert report.iterations == 1
 
@@ -257,13 +261,13 @@ class TestEvaluations:
         # one prox (one eigh) per map evaluation, rejected extrapolations
         # included, over a whole solve to tol: the maxima of the gap tensor
         # and of benchmark b's order-6 lift are degenerate, so their brackets
-        # do not close and their solves run to tol (7/7 and 15/18 evaluations)
+        # do not close and their solves run to tol (8/8 and 18/21 evaluations)
         t = gap_tensor if d == 2 else ap.us_lift(ap.useig_benchmark("b"))
         model = r1.build_matrix_model(t)
         calls = self._counted_prox(monkeypatch)
         for solve in (r1.solve_sdp, r1.solve_nuclear):
             calls[0] = 0
-            report = solve(model, opts=FAST)
+            report = solve(model)
             assert report.stop_reason == "tol"
             assert report.iterations == calls[0]
 
@@ -272,17 +276,17 @@ class TestEvaluations:
         calls = self._counted_prox(monkeypatch)
         for solve in (r1.solve_sdp, r1.solve_nuclear):
             calls[0] = 0
-            report = solve(model, opts=FAST)
+            report = solve(model)
             assert report.stop_reason == "gap"
             assert report.iterations == calls[0]
 
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
-    def test_max_iter_caps_evaluations(self, monkeypatch, k, gap_tensor):
-        # the gap tensor's bracket never closes (random_cps_tensor(3, 31)
-        # closes it after 5 evaluations)
-        model = r1.build_matrix_model(gap_tensor)
+    def test_max_iter_caps_evaluations(self, monkeypatch, k):
+        # this bracket closes after 250 evaluations (random_cps_tensor(3, 31)
+        # closes it after 5)
+        model = r1.build_matrix_model(ap.random_cps(9, 2))
         calls = self._counted_prox(monkeypatch)
-        report = r1.solve_sdp(model, r1.SolverOptions(tol=0.0, max_iter=k))
+        report = r1.solve_sdp(model, max_iter=k)
         assert calls[0] == report.iterations == k
         assert report.stop_reason == "max_iter"
 
@@ -314,7 +318,7 @@ class TestDivergence:
         model = r1.build_matrix_model(ap.random_cps(4, 8000))
         c_norm = model.c_norm
         with caplog.at_level(logging.WARNING, logger="cpstensor"):
-            r1.solve_nuclear(model, rho=c_norm, opts=FAST)
+            r1.solve_nuclear(model, rho=c_norm)
             assert not caplog.records
             report = r1.solve_nuclear(model, rho=0.05 * c_norm)
         assert report.stop_reason == "diverged"
@@ -326,7 +330,7 @@ class TestDivergence:
         # TestSolveNuclear's rho = 1.25 case sits just above the bound lam / 2
         rng = np.random.default_rng(9)
         t = tz.rank_one_cps(2.0, random_unit(2, rng), 2)
-        report = r1.solve_nuclear(r1.build_matrix_model(t), rho=1.25, opts=FAST)
+        report = r1.solve_nuclear(r1.build_matrix_model(t), rho=1.25)
         assert report.stop_reason == "gap" and report.certified
 
 
@@ -347,14 +351,14 @@ class TestOptimalityGap:
     @pytest.mark.parametrize("d", [2, 3])
     def test_nuclear_bound_tight(self, d):
         model = r1.build_matrix_model(random_cps_tensor(3 if d == 2 else 2, 32, d=d))
-        report = r1.solve_nuclear(model, opts=FAST)
+        report = r1.solve_nuclear(model)
         assert report.certified
         assert abs(report.optimality_gap) <= r1.GAP_TOL
 
     def test_bound_holds_without_convergence(self):
         # any multiplier gives a valid bound; it is loose far from the optimum
         model = r1.build_matrix_model(random_cps_tensor(3, 33))
-        report = r1.solve_sdp(model, FAST)
+        report = r1.solve_sdp(model)
         for u in (np.zeros_like(model.c), report.multiplier + 0.1):
             assert r1._top_eigenvalue(r1._dual_matrix(model, u)) >= report.eigenpair.value - 1e-12
 
@@ -368,7 +372,7 @@ class TestOptimalityGap:
         t = random_cps_tensor(2, 35) if case == "n2" else ap.us_lift(self.US_LIFTS[case])
         model = r1.build_matrix_model(t)
         oracle = r1.brute_force_max_eig(t).value.real
-        final = r1.solve_sdp(model, FAST).multiplier
+        final = r1.solve_sdp(model).multiplier
         rng = np.random.default_rng(35)
         noise = rng.standard_normal(final.shape)
         if np.iscomplexobj(final):
@@ -382,7 +386,7 @@ class TestOptimalityGap:
 
     def test_nan_when_uncertified(self):
         model = r1.build_matrix_model(random_cps_tensor(3, 34))
-        report = r1.solve_sdp(model, r1.SolverOptions(max_iter=3))
+        report = r1.solve_sdp(model, max_iter=3)
         assert not report.certified
         assert np.isnan(report.optimality_gap)
 
@@ -443,15 +447,20 @@ class TestBracketCertificate:
 
     def test_degenerate_maximum_closes_at_the_stop(self, gap_tensor):
         # the gap tensor's maximizers form a family and X has rank > 1: the
-        # candidate read off its top eigenvector closes no bracket in 20
-        # checks, and those read off its top eigenspace at the stop do
-        report = r1.solve_sdp(r1.build_matrix_model(gap_tensor), r1.SolverOptions(0.0, 200))
-        assert report.stop_reason == "max_iter" and not report.converged
-        assert report.certified and report.certificate == "bracket"
-        assert report.eigenpair.value == pytest.approx(0.5, rel=1e-12)
-        assert report.to_dict()["certificate"] == "bracket"
+        # candidate read off its top eigenvector closes no bracket at the
+        # check after 5 passes, and those read off its top eigenspace at a
+        # max_iter stop do.  Both solves stop on tol after 8 evaluations
+        model = r1.build_matrix_model(gap_tensor)
+        for solve, cap in ((r1.solve_sdp, 7), (r1.solve_nuclear, 6)):
+            report = solve(model, max_iter=cap)
+            assert report.stop_reason == "max_iter" and not report.converged
+            assert report.iterations == cap
+            assert report.certified and report.certificate == "bracket"
+            assert report.eigenpair.value == pytest.approx(0.5, rel=1e-12)
+            assert report.to_dict()["certificate"] == "bracket"
 
-    CASES_DEGENERATE = {"gap": (0.5, (1e-12, 1e-6, 1.0, 1e6)), "bench_b": (10.0, (1.0, 1e6))}
+    SCALES = (1e-12, 1e-6, 1.0, 1e6)
+    CASES_DEGENERATE = {"gap": (0.5, SCALES), "bench_b": (10.0, SCALES)}
 
     @pytest.mark.parametrize("case", CASES_DEGENERATE)
     @pytest.mark.parametrize("nuclear", [False, True])
@@ -518,19 +527,18 @@ class TestSpectralCalls:
         # and, for the SDP, 10, 20 and 30 passes); at the next, the plain
         # bound misses GAP_TOL and the completed one closes the bracket
         calls.clear()
-        assert r1.solve_nuclear(model, opts=FAST).certificate == "bracket"
+        assert r1.solve_nuclear(model).certificate == "bracket"
         assert calls == ["top eigenpair"] * 2 + ["top eigenvalue"] * 2
         calls.clear()
-        assert r1.solve_sdp(model, FAST).certificate == "bracket"
+        assert r1.solve_sdp(model).certificate == "bracket"
         assert calls == ["top eigenpair"] * 5 + ["top eigenvalue"] * 2
         # stopped on max_iter before the first check: no candidate read at
         # the stop passes the eigen tests, so no dual bound is computed
-        early = r1.SolverOptions(max_iter=4)
         calls.clear()
-        assert not r1.solve_sdp(model, early).certified
+        assert not r1.solve_sdp(model, max_iter=4).certified
         assert calls == ["top 4 eigenpairs"]
         calls.clear()
-        assert not r1.solve_nuclear(model, opts=early).certified
+        assert not r1.solve_nuclear(model, max_iter=4).certified
         assert calls == ["top 4 eigenpairs", "eigh A"]
 
 
@@ -549,8 +557,8 @@ class TestCertificateScale:
 
     def test_stop_does_not_depend_on_scale(self):
         # every test of a bracket check is relative to ||T||_F or to its own
-        # system, and the bracket closes before the absolute tol stops the
-        # loop, which it did at scales 1e-4 and below
+        # system, and the bracket closes before the residual stop (an
+        # absolute tol once stopped the loop at scales 1e-4 and below)
         t = ap.random_cps(4, 8000)
         for solve, evaluations in ((r1.solve_sdp, 5), (r1.solve_nuclear, 5)):
             ref = solve(r1.build_matrix_model(t))
@@ -593,7 +601,7 @@ class TestPinnedIterates:
 
     @pytest.mark.parametrize(
         "name,iters,stop",
-        [("a", 5, "gap"), ("b", 15, "tol"), ("n2", 10, "gap"), ("n3", 20, "gap")],
+        [("a", 5, "gap"), ("b", 18, "tol"), ("n2", 10, "gap"), ("n3", 20, "gap")],
     )
     def test_order_six_us_eigen(self, name, iters, stop):
         # the lifts run the conjugate-form kernel at d = 3; b's degenerate
@@ -603,6 +611,25 @@ class TestPinnedIterates:
         report = res.report
         assert (report.iterations, report.stop_reason, report.certificate) == (iters, stop, "bracket")
         assert len(res.attempts) == 1
+
+    @pytest.mark.parametrize(
+        "n,seed,solve,iters",
+        [(9, 2, r1.solve_sdp, 250), (11, 4, r1.solve_nuclear, 431)],
+        ids=["n9-2-sdp", "n11-4-nuclear"],
+    )
+    def test_tight_at_large_n(self, n, seed, solve, iters):
+        # tight relaxations whose brackets close after many evaluations: a
+        # residual stop at an absolute 1e-7 ended both uncertified (after 210
+        # and 392 evaluations)
+        report = solve(r1.build_matrix_model(ap.random_cps(n, seed)))
+        assert (report.iterations, report.stop_reason, report.certificate) == (iters, "gap", "bracket")
+
+    @pytest.mark.parametrize("seed,iters,stop", [(8, 45, "gap"), (9, 30, "gap"), (23, 44, "tol")])
+    def test_order_six_at_n2(self, seed, iters, stop):
+        # an absolute 1e-7 on the residuals stopped these SDP solves
+        # uncertified after 31, 27 and 30 evaluations
+        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(2, seed, d=3)))
+        assert (report.iterations, report.stop_reason, report.certificate) == (iters, stop, "bracket")
 
     @pytest.mark.parametrize("s0_seed", [9000, 9008])
     def test_radar(self, s0_seed):
@@ -688,14 +715,14 @@ class TestPolish:
 
 class TestSolveSdp:
     def test_gap_tensor_objective(self, gap_tensor):
-        report = r1.solve_sdp(r1.build_matrix_model(gap_tensor), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(gap_tensor))
         assert report.objective == pytest.approx(0.5, abs=1e-3)
 
     def test_rank_one_input_certified(self):
         rng = np.random.default_rng(6)
         a = random_unit(3, rng)
         t = tz.rank_one_cps(1.5, a, 2)
-        report = r1.solve_sdp(r1.build_matrix_model(t), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(t))
         assert report.certified
         assert report.objective == pytest.approx(1.5, abs=1e-5)
         pair = report.eigenpair
@@ -707,7 +734,7 @@ class TestSolveSdp:
     def test_feasibility_at_termination(self):
         t = random_cps_tensor(3, 7)
         model = r1.build_matrix_model(t)
-        report = r1.solve_sdp(model, FAST)
+        report = r1.solve_sdp(model)
         x = report.X
         assert abs(np.trace(x).real - 1.0) <= 1e-7
         assert np.linalg.norm(x - rs.cps_projector(model.n, model.d, model.pi)(x)) <= 1e-7
@@ -715,7 +742,7 @@ class TestSolveSdp:
         assert np.linalg.eigvalsh(0.5 * (x + x.conj().T)).min() >= -1e-7
 
     def test_random_certified(self):
-        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(4, 8)), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(random_cps_tensor(4, 8)))
         assert report.certified
         assert report.eigen_res <= 1e-6
 
@@ -729,7 +756,7 @@ class TestSolveNuclear:
         # boundedness of the penalized model needs rho >= lam/2 here; below
         # that threshold a traceless feasible ray has positive slope
         rho = 1.25
-        report = r1.solve_nuclear(r1.build_matrix_model(t), rho=rho, opts=FAST)
+        report = r1.solve_nuclear(r1.build_matrix_model(t), rho=rho)
         assert report.certified
         assert report.objective == pytest.approx(lam - rho, abs=1e-4)
         assert report.eigenpair.value.real == pytest.approx(lam, abs=1e-5)
@@ -737,8 +764,8 @@ class TestSolveNuclear:
     def test_random_certified_agrees_with_sdp(self):
         t = random_cps_tensor(4, 10)
         model = r1.build_matrix_model(t)
-        sdp = r1.solve_sdp(model, FAST)
-        nuc = r1.solve_nuclear(model, opts=FAST)
+        sdp = r1.solve_sdp(model)
+        nuc = r1.solve_nuclear(model)
         assert sdp.certified and nuc.certified
         assert nuc.eigenpair.value.real == pytest.approx(
             sdp.eigenpair.value.real, abs=1e-4
@@ -818,7 +845,7 @@ class TestCertifyAndRecover:
         for t, stop in ((ap.random_cps(4, 8000), "gap"), (gap_tensor, "tol")):
             model = r1.build_matrix_model(t)
             rs.cps_projector.cache_clear()
-            report = r1.solve_nuclear(model, opts=FAST)
+            report = r1.solve_nuclear(model)
             assert (report.stop_reason, report.certificate) == (stop, "bracket")
             assert rs.cps_projector.cache_info().misses == 0
 
@@ -829,7 +856,7 @@ class TestCertifyAndRecover:
         eigh = r1._eigh
         monkeypatch.setattr(r1, "_eigh", lambda h, *args, **kw: seen.append(h.dtype) or eigh(h, *args, **kw))
         model = r1.build_matrix_model(gap_tensor)
-        report = r1.solve_sdp(model, FAST)
+        report = r1.solve_sdp(model)
         assert (report.stop_reason, report.certificate) == ("tol", "bracket")
         assert set(seen) == {np.dtype(np.float64)}
         vec, lam = rs.extract_rank_one_vector(report.X, model.pi, model.n, model.d)
@@ -903,7 +930,7 @@ class TestBestRankOneError:
 
     def test_pythagoras_identity(self):
         t = random_cps_tensor(2, 16)
-        report = r1.solve_sdp(r1.build_matrix_model(t), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(t))
         assert report.certified
         pair = report.eigenpair
         err2 = r1.best_rank_one_error(t, pair) ** 2
@@ -945,7 +972,7 @@ class TestRealOptimalCoefficient:
         # at a certified maximizer, sampling complex coefficients never beats
         # the real eigenvalue fit beyond numerical slack
         t = random_cps_tensor(2, 20)
-        report = r1.solve_sdp(r1.build_matrix_model(t), FAST)
+        report = r1.solve_sdp(r1.build_matrix_model(t))
         assert report.certified
         x = report.eigenpair.vector
         base = r1.best_rank_one_error(t, report.eigenpair) ** 2
