@@ -1,13 +1,14 @@
 """Dense complex linear-algebra kernel used by every other module.
 
-Every Hermitian eigenproblem runs through one kernel, ``_eigh``, which calls
-LAPACK's ``?syevr`` / ``?heevr`` directly (``scipy.linalg.eigh``'s argument
-checks cost more than the call itself at N = 16) and computes only the
-eigenpairs asked for: the PSD projection of ``_spectral_prox`` those with
-w > 0, its soft threshold by tau those with w > tau unless a Cholesky
-factorization of H + tau I fails, the dual bound in ``rank_one`` the largest
+Hermitian eigenproblems run through two kernels that call LAPACK directly
+(``scipy.linalg.eigh``'s argument checks cost more than the call itself at
+N = 16).  ``_eigh`` calls ``?syevr`` / ``?heevr`` for all eigenpairs or a
+range of them by index: the dual bound in ``rank_one`` takes the largest
 eigenvalue alone, and the rank-one test in ``reshaping`` and the spectral
-split in ``decompose`` all of them.
+split in ``decompose`` all of them.  ``_spectral_prox``, the PSD projection
+and the eigenvalue soft threshold of the ADMM loop, reduces its matrix to
+tridiagonal form once, finds every eigenvalue there by ``?sterf`` and
+computes only the eigenvectors it keeps, by inverse iteration.
 
 All functions are pure, operate on plain ``complex128`` numpy arrays (real
 ``float64`` input to the Hermitian routines stays real) and keep no shared
@@ -15,8 +16,6 @@ state, so they are safe to call concurrently.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -29,7 +28,8 @@ TOL_STRUCT = 1e-8
 ABS_FLOOR = 1e-12
 
 _EVR = {np.dtype(np.float64): lapack.dsyevr, np.dtype(np.complex128): lapack.zheevr}
-_POTRF = {np.dtype(np.float64): lapack.dpotrf, np.dtype(np.complex128): lapack.zpotrf}
+_TRD = {np.dtype(np.float64): lapack.dsytrd, np.dtype(np.complex128): lapack.zhetrd}
+_MQR = {np.dtype(np.float64): lapack.dormqr, np.dtype(np.complex128): lapack.zunmqr}
 
 
 def require_hermitian(x: np.ndarray) -> np.ndarray:
@@ -51,10 +51,10 @@ def _eigh(
     """Eigenpairs (w, V) of a Hermitian float64 or complex128 matrix h, w
     ascending, by LAPACK's ?syevr / ?heevr on the lower triangle of h, which
     it overwrites unless select is "I": all of them for select "A" (by
-    MRRR), those with vl < w <= vu for "V" and the il-th to iu-th (1-based)
-    for "I" (by bisection and inverse iteration; only the vectors asked for
-    are mapped back from tridiagonal form).  V is empty without vectors.  A non-finite
-    h, which LAPACK's bisection rejects, gives NaN, as numpy's eigh does.
+    MRRR) and the il-th to iu-th (1-based) for "I" (by bisection and inverse
+    iteration; only the vectors asked for are mapped back from tridiagonal
+    form).  V is empty without vectors.  A non-finite h, which LAPACK's
+    bisection rejects, gives NaN, as numpy's eigh does.
 
     Bisection can miss the il-th to iu-th eigenvalues inside a tight
     cluster: ?stebz then reports info = 2 without vectors, and with vectors
@@ -81,18 +81,35 @@ def _spectral_prox(x: np.ndarray, tau: float | None = None) -> np.ndarray:
     """Prox on the eigenvalues w of the Hermitian part H of x, unchecked: the
     PSD projection max(w, 0) without tau, else the soft threshold by tau.
 
-    Only the eigenpairs the prox keeps are computed: w > 0, or w > tau when
-    a Cholesky factorization shows H + tau I positive definite, so that no
-    w lies at or below -tau; otherwise all of them."""
+    H = Q T Q^H is reduced to a real tridiagonal T once (?sytrd / ?hetrd),
+    every eigenvalue of T is found by ?sterf, and only the eigenpairs the
+    prox keeps, w > 0 or |w| > tau, get a vector: by inverse iteration on T
+    (?stein), mapped back by Q (?ormqr / ?unmqr).  All eigenpairs of H come
+    from _eigh instead at N = 1, for a non-finite H, when T splits (an exact
+    zero off-diagonal, as for a diagonal H) and when ?sterf or ?stein
+    reports a failure."""
     h = 0.5 * (x + x.conj().T)
-    if tau is None:
-        w, v = _eigh(h, "V", vl=0.0, vu=math.inf)
-    else:
-        shifted = h.copy()
-        shifted.flat[:: len(h) + 1] += tau
-        _, info = _POTRF[h.dtype](shifted, lower=1, clean=0, overwrite_a=1)
-        w, v = _eigh(h, "V", vl=tau, vu=math.inf) if info == 0 else _eigh(h)
-        w = np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
+    n = len(h)
+    if n > 1 and np.isfinite(h).all():
+        a, d, e, reflectors, _ = _TRD[h.dtype](h, lower=1)
+        w, info = lapack.dsterf(d, e)
+        if info == 0 and e.all():
+            w = w[w > 0.0] if tau is None else w[np.abs(w) > tau]
+            if not len(w):
+                return np.zeros_like(h)
+            z, info = lapack.dstein(d, e, w, np.ones(n, np.int32), np.full(n, n, np.int32))
+            if info == 0:
+                # Q = diag(1, Q'), Q' the product of the reflectors below T's diagonal
+                v = z.astype(h.dtype, order="F", copy=False)
+                v[1:], _, _ = _MQR[h.dtype]("L", "N", a[1:, :-1], reflectors, v[1:], len(w))
+                return _spectral_product(v, w, tau)
+    w, v = _eigh(h)
+    return _spectral_product(v, w, tau)
+
+
+def _spectral_product(v: np.ndarray, w: np.ndarray, tau: float | None) -> np.ndarray:
+    """V diag(f(w)) V^H for the prox's map f of the eigenvalues w."""
+    w = np.maximum(w, 0.0) if tau is None else np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
     return (v * w) @ v.conj().T
 
 

@@ -60,7 +60,7 @@ AA_MAX_PAUSE = 64  # longest pause of extrapolation after rejected ones
 AA_REGULARIZATION = 1e-10  # Tikhonov weight of the fit, relative to the Gram trace
 DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X has ||X||_F <= 1
 EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows, times max(1, ||T||_F)
-GAP_TOL = 1e-12  # relative width (U - L) / |L| of a primal-dual bracket that stops and certifies
+GAP_TOL = 1e-12  # relative width (U - L) / |L| (_relative_gap) of a bracket that stops and certifies
 POLISH_STEPS = 6  # most Newton steps of a bracket candidate's polish
 POLISH_TOL = 1e-14  # eigen residual, times ||T||_F, that ends the polish, and its form's rounding
 POLISH_FLOOR = 1e-8  # least curvature modulus of a polish step, relative to the largest
@@ -113,7 +113,7 @@ class SolveReport:
     rho: float = 0.0
     stop_reason: str = ""  # "tol", "gap", "max_iter", "non-finite" or "diverged"
     beta_final: float = 0.0  # the ADMM penalty of the last iteration
-    optimality_gap: float = math.nan  # max(0, dual bound - lambda) / |lambda| when certified
+    optimality_gap: float = math.nan  # _relative_gap of the bracket when certified
     certificate: str = ""  # "bracket", or "" when uncertified
     multiplier: np.ndarray | None = field(default=None, repr=False)  # final u, loop coordinates
 
@@ -168,7 +168,7 @@ def build_matrix_model(t: DenseTensor, pi=None) -> MatrixModel:
     w, _ = _eigh(c.copy(), vectors=False)  # ||C||_2 = max |w|: c is unitarily similar to C
     return MatrixModel(
         tensor=t, pi=pi, n=t.n, d=d, C=data, frame=frame, c=c, project=project,
-        p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(max(-w[0], w[-1])),
+        p_eye=project(np.eye(len(c), dtype=c.dtype)), c_norm=float(np.abs(w).max()),
     )
 
 
@@ -258,11 +258,12 @@ class _Anderson:
 
 class _Bracket(NamedTuple):
     """A closed primal-dual bracket: a unit x with L = T(conj(x)^d x^d) and
-    an upper bound U on the largest C-eigenvalue, U - L <= GAP_TOL |L|."""
+    an upper bound U on the largest C-eigenvalue, with _relative_gap at
+    most GAP_TOL."""
 
     pair: EigenPair  # x and L
     residual: float  # eigen residual at x
-    gap: float  # (U - L) / |L|
+    gap: float  # _relative_gap(U, L, ||C||_2)
 
 
 def _polish(form: tz._ConjForm, start: tz._FormPoint) -> tuple[np.ndarray, np.ndarray, complex]:
@@ -430,9 +431,10 @@ class _BracketCheck:
         dual = _dual_matrix(model, u)
         upper = _top_eigenvalue(dual)
         for pair, res in passing:
-            gap = _relative_gap(upper, pair.value)
+            gap = _relative_gap(upper, pair.value, model.c_norm)
             if GAP_TOL < gap < COMPLETE_GATE and (final or self.completions.ready()):
-                gap = min(gap, _relative_gap(_completed_bound(model, dual, pair.vector), pair.value))
+                completed = _completed_bound(model, dual, pair.vector)
+                gap = min(gap, _relative_gap(completed, pair.value, model.c_norm))
                 if gap > GAP_TOL:
                     self.completions.fail()
             if gap <= GAP_TOL:
@@ -449,9 +451,10 @@ def _admm(
     acceleration.
 
     One map evaluation takes z = (Y, u/beta) to T(z) with one prox, so one
-    call of the eigen kernel (and one Cholesky factorization for the nuclear
-    model).  From the last AA_MEMORY steps an extrapolated point is fitted; it
-    is kept only when its residual ||T(z) - z|| is below the current one,
+    tridiagonal reduction and the eigenvectors the prox keeps
+    (linalg._spectral_prox).  From the last AA_MEMORY steps an extrapolated
+    point is fitted; it is kept only when its residual ||T(z) - z|| is
+    below the current one,
     else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
     and clears the history.  `iterations` counts map evaluations, rejected
@@ -469,7 +472,7 @@ def _admm(
     its last iterate once more (_BracketCheck.final).  A closed bracket
     certifies the solve: the report's X is then the rank-one lift of the
     bracket's x, which is exactly feasible and has <C, X> = L, and it
-    carries the eigenpair, its residual and the gap (U - L) / |L|.
+    carries the eigenpair, its residual and the gap (_relative_gap).
     Otherwise X is the loop's last
     iterate.  With a nuclear weight rho the objective is
     <C, X> - rho ||X||_*, which is <C, X> - rho on a lift.  The loop runs
@@ -598,12 +601,15 @@ def solve_nuclear(
     <C, D> - rho ||D||_*, so any rho >= ||C||_2 (the spectral norm) is safe,
     while small weights can make the supremum infinite.  The default is
     rho = ||C||_2; on feasible rank-one points the penalty is the constant
-    rho, so certification and the recovered eigenpair are unaffected.  A
+    rho, so certification and the recovered eigenpair are unaffected.  On a
+    zero tensor, where ||C||_2 = 0, the default raises RangeError.  A
     smaller rho is solved as given, with a warning on the package logger.
     max_iter caps the map evaluations, as in solve_sdp.
     """
     c_norm = model.c_norm
     if rho is None:
+        if c_norm == 0.0:
+            raise RangeError("the default rho is ||C||_2 = 0 (a zero tensor); pass a rho > 0")
         rho = c_norm
     if not 0.0 < rho < math.inf:
         raise RangeError(f"rho must be a finite number > 0, got {rho}")
@@ -614,13 +620,15 @@ def solve_nuclear(
     return _admm(model, lambda w, beta: _spectral_prox(w, rho / beta), rho, max_iter)
 
 
-def _relative_gap(upper: float, value: float) -> float:
+def _relative_gap(upper: float, value: float, c_norm: float) -> float:
     """(U - lambda) / |lambda| for an upper bound U on the largest C-eigenvalue
     and a lower bound lambda, floored at 0: the relative width of the
     bracket [lambda, max(lambda, U)].  A completed bound equals lambda in
     exact arithmetic once it closes the bracket, so U and lambda, each
-    computed to a few ulps, can read in either order."""
-    return max(upper - value, 0.0) / max(abs(value), 1e-300)
+    computed to a few ulps, can read in either order.  The divisor is
+    floored at 1e-3 ||C||_2 (1e-300 for C = 0), so that a largest
+    C-eigenvalue of exactly 0 can certify too."""
+    return max(upper - value, 0.0) / max(abs(value), 1e-3 * c_norm, 1e-300)
 
 
 def _passes_eigen_tests(t_norm: float, value: complex, res: float) -> bool:

@@ -216,6 +216,16 @@ class TestRank1:
         assert done.stdout == ""
         assert [line[:7] for line in done.stderr.splitlines()] == ["error: "]
 
+    def test_zero_tensor_nuclear_exits_3(self, tmp_path, capsys):
+        # the default rho = ||C||_2 is 0, which the error names, instead of
+        # blaming a rho of -0.0 the caller never passed
+        path = tmp_path / "zero.json"
+        tz.save_tensor(tz.zero(2, 4), path)
+        assert main(["rank1", str(path), "--model", "nuclear"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and "||C||_2 = 0" in err and "rho" in err
+
     def test_optimality_gap(self, rank_one_file, capsys):
         assert main(["rank1", rank_one_file]) == 0
         assert abs(json.loads(capsys.readouterr().out)["optimality_gap"]) <= 1e-9

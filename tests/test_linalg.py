@@ -127,8 +127,10 @@ class TestTopSingularRatio:
 
 
 class TestSubsetProx:
-    # the prox computes only the eigenpairs it keeps; it must agree with the
-    # full decomposition, whichever subset the kernel is asked for
+    # the prox computes only the eigenpairs it keeps, from one tridiagonal
+    # reduction, and falls back to all eigenpairs from _eigh where that
+    # reduction cannot serve; either way it must agree with the full
+    # decomposition
     TAU = 0.5
     SPECTRA = {
         "all negative": [-3.0, -2.0, -1.0, -0.25, -0.1, -1e-3],
@@ -139,48 +141,87 @@ class TestSubsetProx:
     }
 
     @pytest.fixture(autouse=True)
-    def selects(self, monkeypatch):
-        """The subsets requested from the eigen kernel, in call order."""
+    def fallbacks(self, monkeypatch):
+        """The number of calls of the full eigen kernel _eigh."""
         calls = []
         eigh = linalg._eigh
 
-        def spy(h, select="A", vectors=True, **bounds):
-            calls.append(select)
-            return eigh(h, select, vectors, **bounds)
+        def spy(h, *args, **kw):
+            calls.append(len(h))
+            return eigh(h, *args, **kw)
 
         monkeypatch.setattr(linalg, "_eigh", spy)
         return calls
 
     @staticmethod
     def inputs(spectrum, is_complex):
-        """The rotated matrix, and the diagonal one whose eigenvalues sit
-        exactly on the given values."""
+        """The rotated matrix, whose tridiagonal form does not split, and the
+        diagonal one, whose eigenvalues sit exactly on the given values and
+        whose tridiagonal form splits everywhere."""
         dtype = complex if is_complex else float
         return [with_spectrum(spectrum, is_complex, 12), np.diag(spectrum).astype(dtype)]
 
-    @pytest.mark.parametrize("is_complex", [False, True])
-    @pytest.mark.parametrize("name", list(SPECTRA))
-    def test_psd_projection(self, name, is_complex, selects):
-        for x in self.inputs(self.SPECTRA[name], is_complex):
-            ref = reference_prox(x)
-            out = linalg._spectral_prox(x)
-            assert out.dtype == x.dtype
-            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
-        assert set(selects) == {"V"}
+    def check(self, x, tau, fallbacks, fallback):
+        ref = reference_prox(x, tau)
+        before = len(fallbacks)
+        out = linalg._spectral_prox(x, tau)
+        assert out.dtype == x.dtype
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+        assert len(fallbacks) - before == int(fallback)
 
     @pytest.mark.parametrize("is_complex", [False, True])
     @pytest.mark.parametrize("name", list(SPECTRA))
-    def test_soft_threshold(self, name, is_complex, selects):
-        for x in self.inputs(self.SPECTRA[name], is_complex):
-            ref = reference_prox(x, self.TAU)
-            out = linalg._spectral_prox(x, self.TAU)
-            assert out.dtype == x.dtype
-            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
-        # all eigenpairs only when some eigenvalue lies below -tau, where the
-        # Cholesky factorization of H + tau I fails; at -tau itself either
-        low = min(self.SPECTRA[name])
-        if low != -self.TAU:
-            assert set(selects) == {"A" if low < -self.TAU else "V"}
+    def test_psd_projection(self, name, is_complex, fallbacks):
+        rotated, diagonal = self.inputs(self.SPECTRA[name], is_complex)
+        self.check(rotated, None, fallbacks, fallback=False)
+        self.check(diagonal, None, fallbacks, fallback=True)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("name", list(SPECTRA))
+    def test_soft_threshold(self, name, is_complex, fallbacks):
+        rotated, diagonal = self.inputs(self.SPECTRA[name], is_complex)
+        self.check(rotated, self.TAU, fallbacks, fallback=False)
+        self.check(diagonal, self.TAU, fallbacks, fallback=True)
+
+    @pytest.mark.parametrize("x", [[[2.0]], [[-1.0]], [[0.25]], [[3.0 + 0j]], [[-0.75 + 0j]]])
+    def test_order_one_falls_back(self, x, fallbacks):
+        x = np.array(x)
+        self.check(x, None, fallbacks, fallback=True)
+        self.check(x, self.TAU, fallbacks, fallback=True)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_cluster_straddling_the_cut(self, is_complex, fallbacks):
+        # kept and dropped eigenvalues within 1e-13 of each other, around 0
+        # for the projection and around tau and -tau for the soft threshold
+        cluster = np.array([3e-14, 1e-13, -2e-14, -1e-13, 0.0, 5e-14])
+        rest = [2.0, 1.0, -1.0, -2.5]
+        for cut, tau in ((0.0, None), (self.TAU, self.TAU), (-self.TAU, self.TAU)):
+            x = with_spectrum([*rest, *(cut + cluster)], is_complex, 14)
+            self.check(x, tau, fallbacks, fallback=False)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_eight_kept_at_n64(self, is_complex, fallbacks):
+        rng = np.random.default_rng(15)
+        spectrum = np.concatenate([rng.uniform(0.6, 3.0, 8), rng.uniform(-0.45, -1e-3, 56)])
+        x = with_spectrum(spectrum, is_complex, 16)
+        self.check(x, None, fallbacks, fallback=False)
+        self.check(x, self.TAU, fallbacks, fallback=False)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_inverse_iteration_failure_falls_back(self, is_complex, fallbacks, monkeypatch):
+        stein = linalg.lapack.dstein
+        failures = []
+
+        def failing(*args):
+            z, _ = stein(*args)
+            failures.append(1)
+            return z, 1  # info > 0: a vector that did not converge
+
+        monkeypatch.setattr(linalg.lapack, "dstein", failing)
+        x = with_spectrum(self.SPECTRA["mixed"], is_complex, 12)
+        self.check(x, None, fallbacks, fallback=True)
+        self.check(x, self.TAU, fallbacks, fallback=True)
+        assert len(failures) == 2
 
     def test_empty_kept_set_is_zero(self):
         x = with_spectrum(self.SPECTRA["all negative"], True, 13)

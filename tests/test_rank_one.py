@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,29 @@ class TestStopReason:
         assert (report.iterations, report.stop_reason) == (1, "tol")
         assert report.certified and report.certificate == "bracket"
         assert report.eigenpair.value == 0.0
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_zero_tensor_default_rho(self, order):
+        # the default rho = ||C||_2 is +0.0, not -0.0: the error names it and
+        # asks for rho, which the caller never passed; an explicit rho solves
+        model = r1.build_matrix_model(tz.zero(2, order))
+        assert model.c_norm == 0.0 and math.copysign(1.0, model.c_norm) == 1.0
+        with pytest.raises(RangeError, match=r"\|\|C\|\|_2 = 0.*rho"):
+            r1.solve_nuclear(model)
+        report = r1.solve_nuclear(model, rho=1.0, max_iter=20)
+        assert report.iterations >= 1
+
+    def test_zero_maximum_certifies(self):
+        # the largest C-eigenvalue is exactly 0: the form -|<a, x>|^4 of
+        # T = -(a's rank-one term) is maximized by every x orthogonal to a.
+        # The gap is relative to max(|L|, 1e-3 ||C||_2), not to |L| = 0
+        a = np.array([1.0, 1j, 0.5])
+        model = r1.build_matrix_model(tz.rank_one_cps(-1.0, a / np.linalg.norm(a), 2))
+        for report, evaluations in ((r1.solve_sdp(model), 20), (r1.solve_nuclear(model), 33)):
+            assert (report.iterations, report.stop_reason) == (evaluations, "gap")
+            assert report.certified and report.certificate == "bracket"
+            assert abs(report.eigenpair.value) <= 1e-12
+            assert report.optimality_gap <= r1.GAP_TOL
 
     def test_max_iter(self):
         # the cap falls before the first bracket check, which closes this
