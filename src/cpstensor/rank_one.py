@@ -457,9 +457,16 @@ def _admm(
     below the current one,
     else the plain step T(z) is taken and extrapolation pauses for 1, 2, 4,
     ... up to AA_MAX_PAUSE steps.  A change of the penalty beta changes T
-    and clears the history.  `iterations` counts map evaluations, rejected
-    extrapolations included, and max_iter, an integer >= 1 (else
-    RangeError before any evaluation), caps them.
+    and clears the history.  beta starts at max(||T||_F, 1e-12): at the
+    optimum ||X||_F = 1 for the trace-one lift while the multiplier is of
+    the size of ||C||_F = ||T||_F, which grows as about sqrt(N) / 2 times
+    ||C||_2.  It is then rebalanced every ADAPT_EVERY passes, by a factor 2
+    when one residual exceeds ADAPT_RATIO times the other (Boyd, Parikh,
+    Chu, Peleato & Eckstein, 2011).  `iterations` counts map evaluations,
+    rejected extrapolations included, and max_iter, an integer >= 1 (else
+    RangeError before any evaluation), caps them.  A zero tensor takes
+    none: every unit x is a C-eigenvector with value 0, so the report is
+    the certified bracket [0, 0] at x = e_1.
 
     Every BRACKET_EVERY or ADAPT_EVERY passes (_BracketCheck.due), before
     any penalty check (every ADAPT_EVERY passes), the loop checks the
@@ -490,7 +497,19 @@ def _admm(
         return w + shift * p_eye
 
     _require_count(max_iter, "max_iter", 1)
-    scale = beta = max(model.c_norm, 1e-12)
+    check = _BracketCheck(model)
+    scale = max(model.c_norm, 1e-12)
+    beta = max(check.form.norm, 1e-12)
+    found = {} if rho is None else dict(model="nuclear", rho=rho)
+    if not c.any():  # T = 0: every unit x is a C-eigenvector with value 0
+        x = np.eye(model.n, dtype=complex)[0]
+        return SolveReport(
+            X=rs._rank_one_lift(x, model.pi, model.d), objective=0.0 if rho is None else -rho,
+            linear_objective=0.0, primal_residual=0.0, dual_residual=0.0, iterations=0,
+            converged=True, rank_one_ratio=0.0, eigenpair=EigenPair(0.0, x), eigen_res=0.0,
+            certified=True, stop_reason="gap", beta_final=beta, optimality_gap=0.0,
+            certificate="bracket", multiplier=np.zeros_like(c), **found,
+        )
     evaluations = 0
 
     def step(z: np.ndarray) -> _Step:
@@ -507,7 +526,6 @@ def _admm(
 
     cur = step(np.stack([project_affine(np.zeros_like(c)), np.zeros_like(c)]))
     history = _Anderson(cur.image)
-    check = _BracketCheck(model)
     extrapolations = _Backoff(AA_MAX_PAUSE)
     bracket = None
     passes = 0
@@ -559,7 +577,6 @@ def _admm(
     ratio = math.inf
     if stop in ("tol", "max_iter"):
         bracket, ratio = check.final(cur.x, beta * cur.image[1])
-    found = {} if rho is None else dict(model="nuclear", rho=rho)
     if bracket is not None:
         x = rs._rank_one_lift(bracket.pair.vector, model.pi, model.d)
         lin = objective = float(np.vdot(model.C, x).real)
@@ -626,9 +643,9 @@ def _relative_gap(upper: float, value: float, c_norm: float) -> float:
     bracket [lambda, max(lambda, U)].  A completed bound equals lambda in
     exact arithmetic once it closes the bracket, so U and lambda, each
     computed to a few ulps, can read in either order.  The divisor is
-    floored at 1e-3 ||C||_2 (1e-300 for C = 0), so that a largest
-    C-eigenvalue of exactly 0 can certify too."""
-    return max(upper - value, 0.0) / max(abs(value), 1e-3 * c_norm, 1e-300)
+    floored at 1e-3 ||C||_2, so that a largest C-eigenvalue of exactly 0
+    can certify too; _admm never checks a bracket of C = 0."""
+    return max(upper - value, 0.0) / max(abs(value), 1e-3 * c_norm)
 
 
 def _passes_eigen_tests(t_norm: float, value: complex, res: float) -> bool:

@@ -226,6 +226,16 @@ class TestRank1:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and "||C||_2 = 0" in err and "rho" in err
 
+    def test_zero_tensor_order_six_certifies(self, tmp_path, capsys):
+        # every unit x is a C-eigenvector of T = 0, with value 0; the
+        # order-6 SDP solve used to stop uncertified on tol (exit 2)
+        path = tmp_path / "zero6.json"
+        tz.save_tensor(tz.zero(2, 6), path)
+        assert main(["rank1", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["certificate"], report["iterations"]) == ("bracket", 0)
+        assert report["eigenpair"]["value"] == [0.0, 0.0]
+
     def test_optimality_gap(self, rank_one_file, capsys):
         assert main(["rank1", rank_one_file]) == 0
         assert abs(json.loads(capsys.readouterr().out)["optimality_gap"]) <= 1e-9
