@@ -85,7 +85,6 @@ class TestFlatLoop:
         # the iteration count.  Both solves run to max_iter: their brackets
         # close after 790 (SDP) and 540 (nuclear) evaluations
         model = r1.build_matrix_model(ap.random_cps(11, 4))
-        models = {r1.solve_sdp: model, r1.solve_nuclear: model}
         count = [0]
         post_init = tz.DenseTensor.__post_init__
 
@@ -95,7 +94,7 @@ class TestFlatLoop:
 
         monkeypatch.setattr(tz.DenseTensor, "__post_init__", counted)
         seen = {}
-        for solve, model in models.items():
+        for solve in (r1.solve_sdp, r1.solve_nuclear):
             for max_iter in (50, 500):
                 count[0] = 0
                 report = solve(model, max_iter=max_iter)
