@@ -1,7 +1,7 @@
 """Conjugate partial-symmetric (CPS) complex tensor toolkit.
 
-Structure predicates and Hermitian/skew splits, constructive rank-one CPS
-decompositions, pi-matricizations with rank-one equivalence, ADMM solvers
+Structure predicates and Hermitian/skew splits, rank-one CPS decompositions
+on a fixed design, pi-matricizations with rank-one equivalence, ADMM solvers
 for the SDP and nuclear-norm relaxations of the best rank-one approximation
 problem, and experiment drivers (radar quartic design, random CPS tensors,
 largest US-eigenvalues).
@@ -46,15 +46,7 @@ from .reshaping import (
     satisfies_rank_condition,
     vectorize,
 )
-from .decompose import (
-    cps_decompose,
-    hilbert_terms,
-    ps_decompose,
-    realify_coefficients,
-    spectral_split,
-    square_modulus_decompose,
-    symmetric_rank_one_decompose,
-)
+from .decompose import cps_decompose, ps_decompose
 from .rank_one import (
     MatrixModel,
     SolveReport,

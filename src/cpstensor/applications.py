@@ -151,9 +151,11 @@ def radar_objective(scenario: RadarScenario, s: np.ndarray) -> float:
 
 def random_cps(n: int, seed: int, d: int = 2) -> DenseTensor:
     """Random CPS tensor: i.i.d. standard normal real/imag parts, then the
-    PS symmetrization average and the Hermitian part."""
-    if n < 2:
-        raise SizeMismatch("need n >= 2")
+    PS symmetrization average and the Hermitian part.  n must be an integer
+    >= 2, d >= 1 and seed >= 0 (RangeError otherwise)."""
+    r1._require_count(n, "n", 2)
+    r1._require_count(d, "d", 1)
+    r1._require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     shape = (n,) * (2 * d)
     w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -61,14 +61,6 @@ class TermBudgetExceeded(CpsTensorError):
     pass
 
 
-class NonSymmetricEigenvector(CpsTensorError):
-    pass
-
-
-class ResidualTooLarge(CpsTensorError):
-    pass
-
-
 class NotUnit(CpsTensorError):
     pass
 

@@ -4,11 +4,11 @@ Hermitian eigenproblems run through two kernels that call LAPACK directly
 (``scipy.linalg.eigh``'s argument checks cost more than the call itself at
 N = 16).  ``_eigh`` calls ``?syevr`` / ``?heevr`` for all eigenpairs or a
 range of them by index: the dual bound in ``rank_one`` takes the largest
-eigenvalue alone, and the rank-one test in ``reshaping`` and the spectral
-split in ``decompose`` all of them.  ``_spectral_prox``, the PSD projection
-and the eigenvalue soft threshold of the ADMM loop, reduces its matrix to
-tridiagonal form once, finds every eigenvalue there by ``?sterf`` and
-computes only the eigenvectors it keeps, by inverse iteration.
+eigenvalue alone, and the rank-one test in ``reshaping`` all of them.
+``_spectral_prox``, the PSD projection and the eigenvalue soft threshold of
+the ADMM loop, reduces its matrix to tridiagonal form once, finds every
+eigenvalue there by ``?sterf`` and computes only the eigenvectors it keeps,
+by inverse iteration.
 
 All functions are pure, operate on plain ``complex128`` numpy arrays (real
 ``float64`` input to the Hermitian routines stays real) and keep no shared

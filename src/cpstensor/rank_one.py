@@ -619,7 +619,8 @@ def solve_nuclear(
     while small weights can make the supremum infinite.  The default is
     rho = ||C||_2; on feasible rank-one points the penalty is the constant
     rho, so certification and the recovered eigenpair are unaffected.  On a
-    zero tensor, where ||C||_2 = 0, the default raises RangeError.  A
+    zero tensor, where ||C||_2 = 0, the default raises RangeError, and so
+    does a rho that is not a finite real number > 0 (a boolean is not).  A
     smaller rho is solved as given, with a warning on the package logger.
     max_iter caps the map evaluations, as in solve_sdp.
     """
@@ -628,8 +629,9 @@ def solve_nuclear(
         if c_norm == 0.0:
             raise RangeError("the default rho is ||C||_2 = 0 (a zero tensor); pass a rho > 0")
         rho = c_norm
-    if not 0.0 < rho < math.inf:
-        raise RangeError(f"rho must be a finite number > 0, got {rho}")
+    real = isinstance(rho, numbers.Real) and not isinstance(rho, bool)
+    if not (real and 0.0 < rho < math.inf):
+        raise RangeError(f"rho must be a finite number > 0, got {rho!r}")
     if rho < c_norm:
         log.warning(
             "rho %.6g is below ||C||_2 = %.6g; the nuclear model may be unbounded", rho, c_norm

@@ -14,6 +14,7 @@ import cpstensor.rank_one as r1
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
 from cpstensor.linalg import top_singular_ratio
+import constructive as cn
 from conftest import random_cps_tensor, random_unit
 
 
@@ -53,7 +54,7 @@ def test_criterion_02_hilbert_identity_both_parities():
     for d in (2, 3):
         for r in (1, 2, 3):
             a = rng.standard_normal((r, 3)) + 1j * rng.standard_normal((r, 3))
-            terms = dc.hilbert_terms(a, d)
+            terms = cn.hilbert_terms(a, d)
             lams = np.array([t.coeff for t in terms])
             c = np.array([t.vector for t in terms])
             for _ in range(100):

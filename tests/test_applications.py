@@ -166,6 +166,15 @@ class TestRandomCps:
         sigma = np.sqrt((2.0 - np.pi / 2.0) * 0.25)
         assert abs(np.mean(vals) - expect) <= 3.0 * sigma / np.sqrt(200.0)
 
+    @pytest.mark.parametrize(
+        "n, seed, d",
+        [(1, 0, 2), (2.5, 0, 2), (True, 0, 2), (2, 0, 0), (2, 0, -1), (2, 0, 1.0),
+         (2, -1, 2), (2, 0.5, 2), (2, None, 2)],
+    )
+    def test_bad_arguments_raise_range_error(self, n, seed, d):
+        with pytest.raises(RangeError):
+            ap.random_cps(n, seed, d=d)
+
 
 class TestUsLift:
     def test_rank_one_lift(self):

@@ -4,15 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import cpstensor
 import cpstensor.decompose as dc
 import cpstensor.reshaping as rs
 import cpstensor.tensor as tz
-from cpstensor.errors import (
-    NotCps,
-    NotSymmetric,
-    ResidualTooLarge,
-    TermBudgetExceeded,
-)
+from cpstensor.errors import NotCps, NotSymmetric, TermBudgetExceeded
+import constructive as cn
 from conftest import random_cps_tensor, random_ps_tensor, random_unit
 
 
@@ -27,7 +24,7 @@ class TestSpectralSplit:
         rng = np.random.default_rng(0)
         a = random_unit(2, rng)
         t = tz.rank_one_cps(1.0, a, 2)
-        terms = dc.spectral_split(t)
+        terms = cn.spectral_split(t)
         assert len(terms) == 1
         sign, z = terms[0]
         assert sign == 1
@@ -37,25 +34,25 @@ class TestSpectralSplit:
         assert abs(abs(align) - z.norm() * np.linalg.norm(expect)) <= 1e-10
 
     def test_gap_tensor_sign_pair(self, gap_tensor):
-        signs = sorted(s for s, _ in dc.spectral_split(gap_tensor))
+        signs = sorted(s for s, _ in cn.spectral_split(gap_tensor))
         assert signs == [-1, 1]
 
     def test_reconstruction(self):
         t = random_cps_tensor(2, 1)
         acc = np.zeros_like(t.entries)
-        for sign, z in dc.spectral_split(t):
+        for sign, z in cn.spectral_split(t):
             acc += sign * np.multiply.outer(np.conj(z.entries), z.entries)
         assert np.linalg.norm(acc - t.entries) <= 1e-10 * t.norm()
 
     def test_eigenvectors_symmetric(self):
         for seed in range(3):
             t = random_cps_tensor(3, 10 + seed)
-            for _, z in dc.spectral_split(t):
+            for _, z in cn.spectral_split(t):
                 assert tz.is_symmetric(z)
 
     def test_requires_cps(self):
         with pytest.raises(NotCps):
-            dc.spectral_split(random_ps_tensor(2, 2))
+            cn.spectral_split(random_ps_tensor(2, 2))
 
 
 class TestTakagi:
@@ -64,14 +61,14 @@ class TestTakagi:
         for n in (2, 3, 5):
             z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             z = 0.5 * (z + z.T)
-            sig, u = dc.takagi(z)
+            sig, u = cn.takagi(z)
             recon = (u * sig) @ u.T
             assert np.linalg.norm(recon - z) <= 1e-10 * np.linalg.norm(z)
             assert np.allclose(u.conj().T @ u, np.eye(len(sig)), atol=1e-10)
             assert np.all(sig > 0)
 
     def test_degenerate_spectrum(self):
-        sig, u = dc.takagi(np.eye(3, dtype=complex))
+        sig, u = cn.takagi(np.eye(3, dtype=complex))
         recon = (u * sig) @ u.T
         assert np.allclose(recon, np.eye(3), atol=1e-10)
 
@@ -81,7 +78,7 @@ class TestSymmetricRankOne:
         rng = np.random.default_rng(4)
         a = random_unit(2, rng)
         z = tz.DenseTensor(2, 3, np.einsum("i,j,k->ijk", a, a, a))
-        vecs = dc.symmetric_rank_one_decompose(z)
+        vecs = cn.symmetric_rank_one_decompose(z)
         assert len(vecs) <= 4 * 4  # (number of index multisets) * 2^{d-1}
         acc = sum(np.einsum("i,j,k->ijk", v, v, v) for v in vecs)
         assert np.linalg.norm(acc - z.entries) <= 1e-10
@@ -89,19 +86,19 @@ class TestSymmetricRankOne:
     def test_polarization_matrix_case(self):
         # sym(e1 (x) e2) = ((e1+e2)^{ox 2} - (e1-e2)^{ox 2}) / 4
         z = tz.DenseTensor(2, 2, np.array([[0, 0.5], [0.5, 0]], dtype=complex))
-        vecs = dc.symmetric_rank_one_decompose(z)
+        vecs = cn.symmetric_rank_one_decompose(z)
         acc = sum(np.outer(v, v) for v in vecs)
         assert np.allclose(acc, z.entries, atol=1e-12)
 
     def test_random_order3(self):
         z = random_symmetric(3, 3, 5)
-        vecs = dc.symmetric_rank_one_decompose(z)
+        vecs = cn.symmetric_rank_one_decompose(z)
         acc = sum(np.einsum("i,j,k->ijk", v, v, v) for v in vecs)
         assert np.linalg.norm(acc - z.entries) <= 1e-10 * z.norm()
 
     def test_matrix_case_term_count(self):
         z = random_symmetric(3, 2, 6)
-        vecs = dc.symmetric_rank_one_decompose(z)
+        vecs = cn.symmetric_rank_one_decompose(z)
         assert len(vecs) <= 3
         acc = sum(np.outer(v, v) for v in vecs)
         assert np.linalg.norm(acc - z.entries) <= 1e-10 * z.norm()
@@ -110,16 +107,16 @@ class TestSymmetricRankOne:
         rng = np.random.default_rng(7)
         raw = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
         with pytest.raises(NotSymmetric):
-            dc.symmetric_rank_one_decompose(tz.DenseTensor(2, 3, raw))
+            cn.symmetric_rank_one_decompose(tz.DenseTensor(2, 3, raw))
 
     def test_zero_tensor(self):
-        assert dc.symmetric_rank_one_decompose(tz.zero(2, 2)) == []
+        assert cn.symmetric_rank_one_decompose(tz.zero(2, 2)) == []
 
 
 class TestVandermonde:
     def test_power_solution_real_and_feasible(self):
         for d in (1, 2, 3, 4):
-            nodes, z = dc.vandermonde_power_solution(d)
+            nodes, z = cn.vandermonde_power_solution(d)
             a = np.array([[x**k for x in nodes] for k in range(2 * d + 1)])
             import math
 
@@ -129,7 +126,7 @@ class TestVandermonde:
 
     def test_square_solution(self):
         for d in (2, 4):
-            nodes, y = dc.vandermonde_square_solution(d)
+            nodes, y = cn.vandermonde_square_solution(d)
             a = np.array([[x ** (2 * k) for x in nodes] for k in range(d + 1)])
             rhs = np.zeros(d + 1)
             rhs[0] = rhs[d // 2] = 1.0
@@ -137,7 +134,7 @@ class TestVandermonde:
 
 
 def hilbert_identity_error(a, d, n_samples=100, seed=0):
-    terms = dc.hilbert_terms(a, d)
+    terms = cn.hilbert_terms(a, d)
     lams = np.array([t.coeff for t in terms])
     c = np.array([t.vector for t in terms])
     rng = np.random.default_rng(seed)
@@ -169,12 +166,12 @@ class TestHilbertTerms:
     def test_coefficients_real(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        for term in dc.hilbert_terms(a, 2):
+        for term in cn.hilbert_terms(a, 2):
             assert isinstance(term.coeff, float)
 
     def test_budget(self):
         with pytest.raises(TermBudgetExceeded):
-            dc.hilbert_terms(np.ones((7, 2), dtype=complex), 2)
+            cn.hilbert_terms(np.ones((7, 2), dtype=complex), 2)
 
 
 class TestSquareModulus:
@@ -182,14 +179,14 @@ class TestSquareModulus:
         rng = np.random.default_rng(11)
         a = random_unit(2, rng)
         z = tz.DenseTensor(2, 2, np.outer(a, a))
-        terms = dc.square_modulus_decompose(z)
+        terms = cn.square_modulus_decompose(z)
         recon = tz.assemble(terms, 2, 2)
         expect = np.multiply.outer(np.conj(z.entries), z.entries)
         assert np.linalg.norm(recon.entries - expect) <= 1e-8
 
     def test_two_power_sum(self):
         z = tz.DenseTensor(2, 2, np.eye(2, dtype=complex))  # e1^{ox2} + e2^{ox2}
-        terms = dc.square_modulus_decompose(z)
+        terms = cn.square_modulus_decompose(z)
         recon = tz.assemble(terms, 2, 2)
         expect = np.multiply.outer(np.conj(z.entries), z.entries)
         assert np.linalg.norm(recon.entries - expect) <= 1e-8
@@ -197,13 +194,29 @@ class TestSquareModulus:
     def test_conj_form_matches_squared_modulus(self):
         rng = np.random.default_rng(12)
         z = random_symmetric(2, 2, 12)
-        terms = dc.square_modulus_decompose(z)
+        terms = cn.square_modulus_decompose(z)
         t = tz.assemble(terms, 2, 2)
         for _ in range(20):
             x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             val = tz.conj_form_eval(t, x).real
             target = abs(np.sum(z.entries * np.multiply.outer(x, x))) ** 2
             assert abs(val - target) <= 1e-8 * max(target, 1.0)
+
+
+class TestOnePath:
+    def test_package_exports_one_decomposition_path(self):
+        # the constructive proof lives in tests/constructive.py, not the package
+        moved = [
+            "hilbert_nodes", "hilbert_nodes_even", "vandermonde_power_solution",
+            "vandermonde_square_solution", "hilbert_terms", "merge_terms",
+            "spectral_split", "takagi", "symmetric_rank_one_decompose",
+            "_distinct_permutation_count", "square_modulus_decompose",
+            "realify_coefficients", "MAX_SYM_RANK", "TAKAGI_REL",
+        ]
+        for module in (cpstensor, dc):
+            assert [name for name in moved if hasattr(module, name)] == []
+        assert cpstensor.cps_decompose is dc.cps_decompose
+        assert cpstensor.ps_decompose is dc.ps_decompose
 
 
 class TestCpsDecompose:
@@ -294,7 +307,6 @@ class TestFixedDesign:
             raise AssertionError("_eigh called")
 
         monkeypatch.setattr(rs, "_eigh", spy)
-        monkeypatch.setattr(dc, "_eigh", spy)
         t = random_cps_tensor(n, 60 + n, d=d)
         recon = tz.assemble(dc.cps_decompose(t), n, d)
         assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
@@ -353,14 +365,14 @@ class TestRealify:
         t = random_cps_tensor(2, 28)
         terms = dc.cps_decompose(t)
         ps_terms = [tz.PsTerm(term.coeff, term.vector) for term in terms]
-        out = dc.realify_coefficients(ps_terms, t)
+        out = cn.realify_coefficients(ps_terms, t)
         assert [o.coeff for o in out] == [term.coeff for term in terms]
 
     def test_ps_decomposition_realifies(self):
         t = random_cps_tensor(2, 29)
         # decompose through the PS path, then drop imaginary coefficient parts
         ps_terms = dc.ps_decompose(t)
-        out = dc.realify_coefficients(ps_terms, t)
+        out = cn.realify_coefficients(ps_terms, t)
         recon = tz.assemble(out, 2, 2)
         assert np.linalg.norm(recon.entries - t.entries) <= 1e-8 * t.norm()
 
@@ -369,7 +381,7 @@ class TestRealify:
         a = random_unit(2, rng)
         t = tz.rank_one_cps(2.0, a, 2)
         terms = [tz.PsTerm(2.0 + 0.7j, a), tz.PsTerm(-0.7j, a)]
-        out = dc.realify_coefficients(terms, t)
+        out = cn.realify_coefficients(terms, t)
         recon = tz.assemble(out, 2, 2)
         assert np.linalg.norm(recon.entries - t.entries) <= 1e-10
 
@@ -377,8 +389,8 @@ class TestRealify:
         rng = np.random.default_rng(31)
         a = random_unit(2, rng)
         t = tz.rank_one_cps(1.0, a, 2)
-        with pytest.raises(ResidualTooLarge):
-            dc.realify_coefficients([tz.PsTerm(5.0, a)], t)
+        with pytest.raises(cn.ResidualTooLarge):
+            cn.realify_coefficients([tz.PsTerm(5.0, a)], t)
 
 
 class TestMergeTerms:
@@ -388,7 +400,7 @@ class TestMergeTerms:
             tz.CpsTerm(1.0, a),
             tz.CpsTerm(2.0, 2.0 * a * np.exp(0.3j)),  # scale 2 -> coeff * 16
         ]
-        merged = dc.merge_terms(terms, 2)
+        merged = cn.merge_terms(terms, 2)
         assert len(merged) == 1
         assert merged[0].coeff == pytest.approx(1.0 + 2.0 * 16.0)
 
@@ -396,7 +408,7 @@ class TestMergeTerms:
         rng = np.random.default_rng(32)
         terms = [tz.CpsTerm(rng.standard_normal(), random_unit(2, rng)) for _ in range(6)]
         terms += [tz.CpsTerm(0.5, terms[0].vector * np.exp(1j))]
-        merged = dc.merge_terms(terms, 2)
+        merged = cn.merge_terms(terms, 2)
         t1 = tz.assemble(terms, 2, 2)
         t2 = tz.assemble(merged, 2, 2)
         assert np.linalg.norm(t1.entries - t2.entries) <= 1e-10

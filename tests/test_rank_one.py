@@ -819,9 +819,12 @@ class TestSolveNuclear:
             sdp.eigenpair.value.real, abs=1e-4
         )
 
-    def test_rho_must_be_positive(self, gap_tensor):
+    @pytest.mark.parametrize(
+        "rho", [0.0, True, "1", 1 + 0j, float("nan")], ids=["zero", "bool", "str", "complex", "nan"]
+    )
+    def test_rho_must_be_positive(self, gap_tensor, rho):
         with pytest.raises(RangeError):
-            r1.solve_nuclear(r1.build_matrix_model(gap_tensor), rho=0.0)
+            r1.solve_nuclear(r1.build_matrix_model(gap_tensor), rho=rho)
 
 
 def _final_check(model, x, lam=None):
