@@ -163,6 +163,12 @@ def random_cps(n: int, seed: int, d: int = 2) -> DenseTensor:
 
 
 def random_symmetric(n: int, d: int, seed: int) -> DenseTensor:
+    """Random symmetric order-d tensor: i.i.d. standard normal real/imag
+    parts, then the average over all index permutations.  n and d must be
+    integers >= 1 and seed >= 0 (RangeError otherwise)."""
+    r1._require_count(n, "n", 1)
+    r1._require_count(d, "d", 1)
+    r1._require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n,) * d) + 1j * rng.standard_normal((n,) * d)
     return tz.symmetrize_full(DenseTensor(n, d, w))

@@ -62,6 +62,7 @@ DIVERGED_NORM = 1e6  # ||Y||_F past which a solve has diverged; trace-one PSD X 
 EIG_TOL = 1e-6  # eigen residual and imaginary value a certificate allows, times max(1, ||T||_F)
 GAP_TOL = 1e-12  # relative width (U - L) / |L| (_relative_gap) of a bracket that stops and certifies
 POLISH_STEPS = 6  # most Newton steps of a bracket candidate's polish
+POLISH_HALVINGS = 8  # most halvings of a rejected polish step before the polish ends
 POLISH_TOL = 1e-14  # eigen residual, times ||T||_F, that ends the polish, and its form's rounding
 POLISH_FLOOR = 1e-8  # least curvature modulus of a polish step, relative to the largest
 COMPLETE_GATE = 1e-2  # bracket width under which the dual certificate is completed
@@ -281,11 +282,13 @@ def _polish(form: tz._ConjForm, start: tz._FormPoint) -> tuple[np.ndarray, np.nd
     is.  H's eigenvalues are replaced by minus their moduli, floored at
     POLISH_FLOOR times the largest: the step is Newton's near a
     nondegenerate maximum and an ascent direction elsewhere.  A step is
-    kept only if the conjugate form rises, up to its rounding,
-    POLISH_TOL |mu|: the last steps to an eigenpair change the form by
-    less.  The polish ends on a rejected step, on an eigen residual of
-    POLISH_TOL ||T||_F or after POLISH_STEPS steps; at n = 1 every unit x
-    is an eigenvector."""
+    kept only if the conjugate form does not fall by more than its
+    rounding, POLISH_TOL |mu|: the last steps to an eigenpair change the
+    form by less.  A rejected step is halved and tried again, up to
+    POLISH_HALVINGS times, as far from a maximum the full step can
+    overshoot.  The polish ends when every halving is rejected, on an eigen
+    residual of POLISH_TOL ||T||_F or after POLISH_STEPS steps; at n = 1
+    every unit x is an eigenvector."""
     n, half = form.n, form.n - 1
     tol = POLISH_TOL * form.norm
     point, mu = start, start.value.real
@@ -308,10 +311,14 @@ def _polish(form: tz._ConjForm, start: tz._FormPoint) -> tuple[np.ndarray, np.nd
         w, v = _eigh(hess)
         w = np.maximum(np.abs(w), POLISH_FLOOR * np.abs(w).max())
         step = v @ ((v.T @ np.concatenate([rhs.real, rhs.imag])) / w)
-        y = x + q @ (step[:half] + 1j * step[half:])
-        y /= _norm(y)
-        trial = form.at(y)
-        if not trial.value.real >= mu - POLISH_TOL * abs(mu):
+        h = q @ (step[:half] + 1j * step[half:])
+        for _ in range(POLISH_HALVINGS + 1):
+            y = x + h
+            trial = form.at(y / _norm(y))
+            if trial.value.real >= mu - POLISH_TOL * abs(mu):
+                break
+            h *= 0.5
+        else:
             break
         point, mu = trial, trial.value.real
     phase = rs._phase_factor(point.x)
@@ -339,7 +346,10 @@ class _BracketCheck:
     A check reads unit candidates x off eigenvectors of X (the top left
     singular vector of the eigenvector's mode-1 unfolding) and polishes
     each (_polish); the first is polished from the read x or from the last
-    check's polished x, whichever has the larger conjugate form.  Forms,
+    check's polished x, whichever has the larger conjugate form.  Once a
+    completion has failed, it is polished from the read x, as the last
+    polished x may sit at a local eigenpair; that x stays a candidate, and
+    is carried on when its form is the larger.  Forms,
     partial maps and their derivatives come from one tz._ConjForm, built
     with the check.  L is the conjugate form at a read or polished
     candidate that passes the eigen tests, the largest first (_close), a
@@ -401,20 +411,27 @@ class _BracketCheck:
     def _close(self, reads: np.ndarray, u: np.ndarray, final: bool) -> _Bracket | None:
         """The bracket of the candidates read off the columns of reads, when
         it closes; the first column's is polished from its read x or the
-        last polished x.  A final check tries every candidate that passes
-        the eigen tests, in order of L, as the completed bound depends on
-        the candidate; a check in the loop tries the first alone."""
+        last polished x, and from its read x once a completion has failed,
+        with the last polished x kept as a candidate.  A final check tries
+        every candidate that passes the eigen tests, in order of L, as the
+        completed bound depends on the candidate; a check in the loop tries
+        the first alone."""
         model, form = self.model, self.form
         candidates = []
         for k, column in enumerate(reads.T):
             read = form.at(rs._oriented_vector(column, model.pi, model.n, model.d, model.frame))
-            start = read
-            if k == 0 and self.polished is not None and self.polished.value > read.value.real:
-                start = form.at(self.polished.vector)
+            start, last = read, None
+            if k == 0 and self.polished is not None:
+                if self.completions.pause:
+                    last = form.at(self.polished.vector)
+                elif self.polished.value > read.value.real:
+                    start = form.at(self.polished.vector)
             vec, g, value = _polish(form, start)
-            if k == 0:
-                self.polished = EigenPair(value.real, vec)
             candidates += [(vec, g, value), (read.x, read.g, read.value)]
+            if last is not None:
+                candidates.append((last.x, last.g, last.value))
+            if k == 0 and (last is None or value.real > self.polished.value):
+                self.polished = EigenPair(value.real, vec)
         # the larger form first, the polished x on a tie; those that pass the
         # tests, or, before the final check, the first of them
         passing = []

@@ -176,6 +176,13 @@ class TestRandomCps:
             ap.random_cps(n, seed, d=d)
 
 
+class TestRandomSymmetric:
+    @pytest.mark.parametrize("n, d, seed", [(2, 0, -1), (2, 2.5, 0), (2, -1, 0)])
+    def test_bad_arguments_raise_range_error(self, n, d, seed):
+        with pytest.raises(RangeError):
+            ap.random_symmetric(n, d, seed)
+
+
 class TestUsLift:
     def test_rank_one_lift(self):
         rng = np.random.default_rng(8)

@@ -559,21 +559,23 @@ class TestSpectralCalls:
         monkeypatch.setattr(rs, "_eigh", kernel)
         model = r1.build_matrix_model(random_cps_tensor(n, 11))
         assert calls == ["eigh A"]
-        # the candidate fails the eigen tests at the first check (after 5
-        # passes); at the next, the plain bound misses GAP_TOL and the
+        # the polished candidate passes the eigen tests at the first check
+        # (after 5 passes), where the plain bound misses GAP_TOL and the
         # completed one closes the bracket
         for solve in (r1.solve_nuclear, r1.solve_sdp):
             calls.clear()
             assert solve(model).certificate == "bracket"
-            assert calls == ["top eigenpair"] * 2 + ["top eigenvalue"] * 2
-        # stopped on max_iter before the first check: no candidate read at
-        # the stop passes the eigen tests, so no dual bound is computed
+            assert calls == ["top eigenpair"] + ["top eigenvalue"] * 2
+        # stopped on max_iter before the first check: the candidate read at
+        # the stop is polished to an eigenpair, which passes the eigen tests,
+        # and the dual bound misses it by more than COMPLETE_GATE, so no
+        # completed bound is computed
         calls.clear()
         assert not r1.solve_sdp(model, max_iter=4).certified
-        assert calls == ["top 4 eigenpairs"]
+        assert calls == ["top 4 eigenpairs", "top eigenvalue"]
         calls.clear()
         assert not r1.solve_nuclear(model, max_iter=4).certified
-        assert calls == ["top 4 eigenpairs", "eigh A"]
+        assert calls == ["top 4 eigenpairs", "top eigenvalue", "eigh A"]
 
 
 class TestCertificateScale:
@@ -636,7 +638,7 @@ class TestPinnedIterates:
 
     @pytest.mark.parametrize(
         "seed,sdp_iters,nuclear_iters",
-        [(8000, 30, 30), (8001, 20, 20)],
+        [(8000, 20, 20), (8001, 20, 20)],
         ids=["8000", "8001"],
     )
     def test_iterations_at_n8(self, seed, sdp_iters, nuclear_iters):
@@ -658,14 +660,22 @@ class TestPinnedIterates:
 
     @pytest.mark.parametrize(
         "n,seed,solve,iters",
-        [(9, 2, r1.solve_sdp, 35), (11, 4, r1.solve_nuclear, 540), (12, 0, r1.solve_sdp, 45)],
-        ids=["n9-2-sdp", "n11-4-nuclear", "n12-0-sdp"],
+        [
+            (9, 2, r1.solve_sdp, 35),
+            (11, 4, r1.solve_nuclear, 540),
+            (12, 0, r1.solve_sdp, 45),
+            (9, 5, r1.solve_sdp, 106),
+        ],
+        ids=["n9-2-sdp", "n11-4-nuclear", "n12-0-sdp", "n9-5-sdp"],
     )
     def test_tight_at_large_n(self, n, seed, solve, iters):
         # tight relaxations whose brackets close after many evaluations: a
         # residual stop at an absolute 1e-7 ended the first two uncertified
         # (after 210 and 392 evaluations).  A penalty that started at
-        # ||C||_2 took 250, 431 and 205
+        # ||C||_2 took 250, 431 and 205.  The last closed after 131 with a
+        # polish that ended on its first rejected step, and after 357 when a
+        # failed completion still polished the last polished x, a local
+        # eigenpair, instead of the read one
         report = solve(r1.build_matrix_model(ap.random_cps(n, seed)))
         assert (report.iterations, report.stop_reason, report.certificate) == (iters, "gap", "bracket")
 
@@ -742,6 +752,16 @@ class TestPolish:
             assert value.real >= lower - r1.POLISH_TOL * abs(lower)
             # the returned g is the partial map at the returned, phase-fixed x
             assert np.allclose(g, tz.partial_map(t, vec), rtol=0, atol=1e-13 * t.norm())
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (8, 2), (3, 3)])
+    def test_form_rises_from_random_start(self, n, d):
+        # far from an eigenpair the full Newton step can overshoot; a halved
+        # one still raises the form (without halvings, 2, 10 and 5 of these
+        # 20 starts ended unmoved on their first rejected step)
+        for seed in range(20):
+            t = random_cps_tensor(n, 90 + seed, d)
+            _, start, _, _, value = self.polish(t, random_unit(n, np.random.default_rng(seed)))
+            assert value.real > start.value.real
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 3), (4, 1)])
